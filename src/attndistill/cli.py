@@ -246,7 +246,7 @@ def cmd_export(args):
     k = syn.num_classes
     mean = np.asarray(manifest.get("stats", {}).get("mean", [0.0] * c), dtype=np.float64)
     std = np.asarray(manifest.get("stats", {}).get("std", [1.0] * c), dtype=np.float64)
-    raw = syn.images.data * std[None, :, None, None] + mean[None, :, None, None]
+    raw = data.denormalize(syn.images.data, mean, std)
     if c == 1:
         raw = np.repeat(raw, 3, axis=1)
     elif c != 3:

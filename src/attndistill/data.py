@@ -48,9 +48,13 @@ class DatasetIndex:
 
     def denormalize(self, x):
         """Invert the channel standardization (accepts (..., C, H, W))."""
-        c = self.mean.shape[0]
-        shape = (c, 1, 1)
-        return x * self.std.reshape(shape) + self.mean.reshape(shape)
+        return denormalize(x, self.mean, self.std)
+
+
+def denormalize(x, mean, std):
+    """Undo channel standardization: x * std + mean per channel of (..., C, H, W)."""
+    c = mean.shape[0]
+    return x * std.reshape(c, 1, 1) + mean.reshape(c, 1, 1)
 
 
 def _build_index(raw, labels, num_classes, stats):

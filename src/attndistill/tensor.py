@@ -79,9 +79,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
 
 
+def _records(parents):
+    """Whether an op on ``parents`` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, op):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._op = op
@@ -340,7 +345,8 @@ def conv2d(x, w, b, pad=1):
     """3x3 cross-correlation with zero padding, stride 1.
 
     x: (N, Cin, H, W), w: (Cout, Cin, 3, 3), b: (Cout,) -> (N, Cout, H, W)
-    for pad=1. Implemented as im2col + matmul.
+    for pad=1. Implemented as im2col + one GEMM per sample: the column
+    buffer is (N, Cin*9, Ho*Wo), so ``W @ cols`` writes NCHW directly.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: expected 4-D input/weight, got {x.data.shape}, {w.data.shape}")
@@ -353,27 +359,32 @@ def conv2d(x, w, b, pad=1):
         raise ShapeMismatch(f"conv2d: bias shape {b.data.shape} != ({w.data.shape[0]},)")
     n, cin, h, wd = x.data.shape
     cout = w.data.shape[0]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = h + 2 * pad - 2, wd + 2 * pad - 2
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    ho, wo = hp - 2, wp - 2
+    xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.data
     win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, Cin, ho, wo, 3, 3)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * 9)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, cin * 9, ho * wo)
+    del xp, win  # free the padded copy before the GEMM allocates its output
     wmat = w.data.reshape(cout, cin * 9)
-    y = (cols @ wmat.T + b.data).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    out = _node(np.ascontiguousarray(y), (x, w, b), "conv2d")
+    y = np.matmul(wmat, cols)
+    y += b.data[:, None]
+    out = _node(y.reshape(n, cout, ho, wo), (x, w, b), "conv2d")
     if out.requires_grad:
+        wcols = cols if w.requires_grad else None  # only the weight gradient reads them
+
         def bwd(g):
-            gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+            gm = g.reshape(n, cout, ho * wo)
             if w.requires_grad:
-                _accum(w, (gmat.T @ cols).reshape(w.data.shape))
+                _accum(w, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
             if b.requires_grad:
-                _accum(b, gmat.sum(axis=0))
+                _accum(b, gm.sum(axis=(0, 2)))
             if x.requires_grad:
-                gcols = (gmat @ wmat).reshape(n, ho, wo, cin, 3, 3)
-                gxp = np.zeros_like(xp)
+                gcols = np.matmul(wmat.T, gm).reshape(n, cin, 3, 3, ho, wo)
+                gxp = np.zeros((n, cin, hp, wp), dtype=gcols.dtype)
                 for ki in range(3):
                     for kj in range(3):
-                        gxp[:, :, ki:ki + ho, kj:kj + wo] += \
-                            gcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                        gxp[:, :, ki:ki + ho, kj:kj + wo] += gcols[:, :, ki, kj]
                 _accum(x, gxp[:, :, pad:pad + h, pad:pad + wd])
         out._backward = bwd
     return out
@@ -383,59 +394,83 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     """Standardize each (sample, channel) plane, then scale/shift per channel."""
     if x.data.ndim != 4:
         raise ShapeMismatch(f"instance_norm expects (N,C,H,W), got {x.data.shape}")
-    c = x.data.shape[1]
+    n, c, h, w = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeMismatch(
             f"instance_norm: affine shapes {gamma.data.shape}, {beta.data.shape} != ({c},)")
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    xc = x.data - mu
-    var = (xc ** 2).mean(axis=(2, 3), keepdims=True)
+    m = h * w
+    x3 = x.data.reshape(n, c, m)
+    xc = x3 - x3.mean(axis=2, keepdims=True)
+    var = np.einsum("ncp,ncp->nc", xc, xc) / m
     istd = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = xc * istd
-    gm = gamma.data[None, :, None, None]
-    out = _node(gm * xhat + beta.data[None, :, None, None], (x, gamma, beta), "instance_norm")
+    a = gamma.data * istd  # (N, C): the per-plane factor applied to xc
+    record = _records((x, gamma, beta))
+    # Without a graph nothing reads xc again, so the output overwrites it.
+    y = np.multiply(xc, a[:, :, None], out=None if record else xc)
+    y += beta.data[:, None]
+    out = _node(y.reshape(n, c, h, w), (x, gamma, beta), "instance_norm")
     if out.requires_grad:
-        m = x.data.shape[2] * x.data.shape[3]
         def bwd(g):
+            g3 = g.reshape(n, c, m)
+            gxc = np.einsum("ncp,ncp->nc", g3, xc)  # sum of g * xc per plane
             if gamma.requires_grad:
-                _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+                _accum(gamma, (gxc * istd).sum(axis=0))
             if beta.requires_grad:
-                _accum(beta, g.sum(axis=(0, 2, 3)))
+                _accum(beta, g3.sum(axis=(0, 2)))
             if x.requires_grad:
-                gh = g * gm
-                t1 = m * gh
-                t2 = gh.sum(axis=(2, 3), keepdims=True)
-                t3 = xhat * (gh * xhat).sum(axis=(2, 3), keepdims=True)
-                _accum(x, istd / m * (t1 - t2 - t3))
+                # d/dx = a * (g - mean(g) - xhat * mean(g * xhat)), xhat = xc * istd
+                gx = g3 * a[:, :, None]
+                gx -= (a * g3.sum(axis=2) / m)[:, :, None]
+                gx -= xc * (a * istd * istd * gxc / m)[:, :, None]
+                _accum(x, gx.reshape(n, c, h, w))
         out._backward = bwd
     return out
+
+
+def _tap3_stride2(a, axis):
+    """Zero-padded 3-tap sums at stride 2 along ``axis``: entry i of the
+    result is a[2i-1] + a[2i] + a[2i+1], and the length halves rounding up."""
+    size = a.shape[axis]
+    half, keep = size // 2, -(-size // 2)
+
+    def at(*s):
+        idx = [slice(None)] * a.ndim
+        idx[axis] = slice(*s)
+        return tuple(idx)
+
+    shape = list(a.shape)
+    shape[axis] = keep
+    y = np.empty(shape, dtype=a.dtype)
+    np.add(a[at(0, 2 * half, 2)], a[at(1, None, 2)], out=y[at(0, half)])
+    y[at(half, None)] = a[at(2 * half, None)]  # odd length: the last entry has no right tap
+    y[at(1, None)] += a[at(1, 2 * keep - 2, 2)]
+    return y
 
 
 def avgpool(x):
     """3x3 average pooling, stride 2, zero padding 1, fixed divisor 9.
 
     (N, C, H, W) -> (N, C, ceil(H/2), ceil(W/2)); requires H, W >= 2.
+    The window sum is separable: a 3-tap sum over rows, then over columns.
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"avgpool expects (N,C,H,W), got {x.data.shape}")
     n, c, h, w = x.data.shape
     if h < 2 or w < 2:
         raise ShapeMismatch(f"avgpool requires spatial dims >= 2, got {h}x{w}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
     ninth = np.asarray(1.0 / 9.0, dtype=x.data.dtype)
-    y = win.sum(axis=(-1, -2)) * ninth
+    y = _tap3_stride2(_tap3_stride2(x.data, 2), 3)
+    y *= ninth
     ho, wo = y.shape[2], y.shape[3]
-    out = _node(y.astype(x.data.dtype, copy=False), (x,), "avgpool")
+    out = _node(y, (x,), "avgpool")
     if out.requires_grad:
         def bwd(g):
-            if x.requires_grad:
-                gs = g * ninth
-                gxp = np.zeros_like(xp)
-                for ki in range(3):
-                    for kj in range(3):
-                        gxp[:, :, ki:ki + 2 * ho - 1:2, kj:kj + 2 * wo - 1:2] += gs
-                _accum(x, gxp[:, :, 1:1 + h, 1:1 + w])
+            gs = g * ninth
+            gxp = np.zeros((n, c, h + 2, w + 2), dtype=gs.dtype)
+            for ki in range(3):
+                for kj in range(3):
+                    gxp[:, :, ki:ki + 2 * ho - 1:2, kj:kj + 2 * wo - 1:2] += gs
+            _accum(x, gxp[:, :, 1:1 + h, 1:1 + w])
         out._backward = bwd
     return out
 

@@ -46,6 +46,30 @@ def naive_avgpool(x):
     return out
 
 
+def naive_instance_norm(x, gamma, beta, eps=1e-5):
+    """Per-(sample, channel) standardization, then per-channel scale/shift."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h, w), dtype=np.float64)
+    m = h * w
+    for ni in range(n):
+        for ci in range(c):
+            mu = 0.0
+            for i in range(h):
+                for j in range(w):
+                    mu += x[ni, ci, i, j]
+            mu /= m
+            var = 0.0
+            for i in range(h):
+                for j in range(w):
+                    var += (x[ni, ci, i, j] - mu) ** 2
+            var /= m
+            inv = 1.0 / (var + eps) ** 0.5
+            for i in range(h):
+                for j in range(w):
+                    out[ni, ci, i, j] = gamma[ci] * (x[ni, ci, i, j] - mu) * inv + beta[ci]
+    return out
+
+
 def naive_linear(x, w, b):
     n, d = x.shape
     k = w.shape[0]

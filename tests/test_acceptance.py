@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The relational criteria
-(5-7) run real distillation and therefore dominate the suite's runtime.
+(5-7) run real distillation and therefore dominate the suite's runtime; they
+carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
 """
 import functools
 import struct
@@ -161,6 +162,7 @@ def test_criterion_4_naive_loop_oracles():
 # criterion 5: optimization progress on the quick toy
 
 
+@pytest.mark.slow
 @criterion(5, "optimization progress")
 def test_criterion_5_loss_halves():
     start = time.monotonic()
@@ -202,6 +204,7 @@ def bench_results():
     return get
 
 
+@pytest.mark.slow
 @criterion(6, "relational accuracy")
 def test_criterion_6_synthesis_beats_selection(bench_results):
     start = time.monotonic()
@@ -215,6 +218,7 @@ def test_criterion_6_synthesis_beats_selection(bench_results):
     assert time.monotonic() - start < 600.0
 
 
+@pytest.mark.slow
 @criterion(7, "ablation non-inferiority")
 def test_criterion_7_joint_loss_not_worse(bench_results):
     joint = bench_results("joint")

@@ -5,6 +5,7 @@ import pytest
 
 from attndistill import tensor as T
 from attndistill.encoder import EncoderConfig, default_depth, forward, sample_params
+from attndistill.losses import mmd_loss, sam_loss
 from attndistill.tensor import ShapeMismatch, Tensor
 
 from oracles import fd_gradient, max_rel_err
@@ -121,6 +122,23 @@ def test_record_grad_false_detaches_images():
     assert not trace.logits.requires_grad
     T.backward(T.sum_all(trace.logits))
     assert x.grad is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_values_do_not_depend_on_grad_mode(dtype):
+    cfg = small_cfg(width=12)
+    params = sample_params(cfg, 17, dtype=dtype)
+    x0 = np.random.default_rng(18).normal(size=(4, 1, 8, 8)).astype(dtype)
+    plain = forward(params, Tensor(x0), record_grad=False)
+    syn = Tensor(x0.copy(), requires_grad=True)
+    graph = forward(params, T.slice_rows(syn, 0, 4))
+    assert graph.logits.requires_grad and not plain.logits.requires_grad
+    for fp, fg in zip(plain.features, graph.features):
+        assert np.array_equal(fp.data, fg.data)
+    assert np.array_equal(plain.logits.data, graph.logits.data)
+    s, per_layer = sam_loss([plain], [graph], 4.0)
+    assert s.item() == 0.0 and per_layer == [0.0] * (cfg.depth - 1)
+    assert mmd_loss([plain], [graph]).item() == 0.0
 
 
 def test_wrong_image_shape_raises():

@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 from attndistill import tensor as T
 from attndistill.tensor import ShapeMismatch, Tensor, TensorError
 
-from oracles import fd_gradient, max_rel_err, naive_avgpool, naive_conv2d, naive_linear
+from oracles import (fd_gradient, max_rel_err, naive_avgpool, naive_conv2d,
+                     naive_instance_norm, naive_linear)
 
 
 def t64(a, grad=False):
@@ -139,6 +140,60 @@ def test_avgpool_matches_naive_loops():
 def test_avgpool_odd_size_ceil():
     y = T.avgpool(t64(np.zeros((1, 1, 5, 7))))
     assert y.data.shape == (1, 1, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# conv2d, avgpool and instance_norm on randomized shapes
+
+
+def _check_adjoint(fwd, grad, probe, g, what):
+    """<fwd(probe), g> == <probe, grad> for a linear ``fwd`` whose backward
+    gave ``grad`` from upstream ``g``; ``probe`` is independent of both."""
+    lhs = float(np.sum(fwd(probe) * g))
+    rhs = float(np.sum(probe * grad))
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0), what
+
+
+def test_layer_ops_match_naive_loops_on_random_shapes():
+    """Every H and W from 2 to 9 (odd sizes exercise the last row and column
+    of the separable pool), up to 16 channels in and out, batches above 1.
+    Each backward is checked against its forward through the adjoint
+    identity at a fresh random probe."""
+    rng = np.random.default_rng(2310)
+    for h in range(2, 10):
+        w = 11 - h
+        n = int(rng.integers(2, 4))
+        cin = 16 if h == 9 else int(rng.integers(1, 17))
+        cout = 16 if h == 2 else int(rng.integers(1, 17))
+        x = rng.normal(size=(n, cin, h, w))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        gamma, beta = rng.normal(size=cin), rng.normal(size=cin)
+        zero_b = t64(np.zeros(cout))
+        shape = (n, cin, h, w, cout)
+
+        xt, wtt, bt = t64(x, grad=True), t64(wt, grad=True), t64(b, grad=True)
+        y = T.conv2d(xt, wtt, bt)
+        assert max_rel_err(y.data, naive_conv2d(x, wt, b)) < 1e-6, shape
+        g = rng.normal(size=y.data.shape)
+        T.backward(T.sum_all(T.mul(y, t64(g))))
+        _check_adjoint(lambda v: T.conv2d(t64(v), t64(wt), zero_b).data, xt.grad,
+                       rng.normal(size=x.shape), g, ("conv2d dx", shape))
+        _check_adjoint(lambda v: T.conv2d(t64(x), t64(v), zero_b).data, wtt.grad,
+                       rng.normal(size=wt.shape), g, ("conv2d dw", shape))
+        assert np.allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12), shape
+
+        xt = t64(x, grad=True)
+        y = T.avgpool(xt)
+        assert max_rel_err(y.data, naive_avgpool(x)) < 1e-6, shape
+        g = rng.normal(size=y.data.shape)
+        T.backward(T.sum_all(T.mul(y, t64(g))))
+        _check_adjoint(lambda v: T.avgpool(t64(v)).data, xt.grad,
+                       rng.normal(size=x.shape), g, ("avgpool dx", shape))
+
+        xs = 3.0 * x + 1.0  # planes with a nonzero mean and a non-unit spread
+        y = T.instance_norm(t64(xs), t64(gamma), t64(beta))
+        assert max_rel_err(y.data, naive_instance_norm(xs, gamma, beta)) < 1e-6, shape
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +361,12 @@ OPS = {
     "instance_norm": (lambda t, c: T.instance_norm(t, c["gamma"], c["beta"]), (2, 2, 4, 4)),
     "avgpool": (lambda t, c: T.avgpool(t), (2, 2, 5, 5)),
     "linear": (lambda t, c: T.linear(t, c["lw"], c["lb"]), (3, 5)),
+    "conv2d.w": (lambda t, c: T.conv2d(c["x4"], t, c["cb"]), (3, 2, 3, 3)),
+    "conv2d.b": (lambda t, c: T.conv2d(c["x4"], c["w"], t), (3,)),
+    "instance_norm.gamma": (lambda t, c: T.instance_norm(c["x4"], t, c["beta"]), (2,)),
+    "instance_norm.beta": (lambda t, c: T.instance_norm(c["x4"], c["gamma"], t), (2,)),
+    "linear.w": (lambda t, c: T.linear(c["x2"], t, c["lb"]), (4, 5)),
+    "linear.b": (lambda t, c: T.linear(c["x2"], c["lw"], t), (4,)),
     "flip_w": (lambda t, c: T.flip_w(t), (1, 2, 3, 3)),
     "shift2d": (lambda t, c: T.shift2d(t, 1, -1), (1, 2, 4, 4)),
     "apply_mask": (lambda t, c: T.apply_mask(t, c["mask"]), (1, 2, 4, 4)),
@@ -323,6 +384,7 @@ def _constants(rng, dtype):
         "gamma": Tensor((rng.normal(size=2) + 1.5).astype(dtype)), "beta": mk((2,)),
         "lw": mk((4, 5)), "lb": mk((4,)),
         "mask": mask.astype(dtype),
+        "x4": mk((2, 2, 5, 5)), "x2": mk((3, 5)),
     }
 
 
