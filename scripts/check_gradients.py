@@ -11,23 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from attndistill import tensor as T
-from attndistill.encoder import EncoderConfig, forward, sample_params
-from attndistill.losses import mmd_loss, sam_loss, total_loss
+from attndistill.encoder import EncoderConfig, sample_params
 from attndistill.tensor import Tensor
-
-
-def build_loss(params, reals, pixels, shape):
-    syn = Tensor(pixels.reshape(shape), requires_grad=True)
-    k = shape[0]
-    real_traces = [forward(params, rb, record_grad=False) for rb in reals]
-    syn_traces = [forward(params, T.slice_rows(syn, i, i + 1)) for i in range(k)]
-    s, per_layer = sam_loss(real_traces, syn_traces, 4.0)
-    m = mmd_loss(real_traces, syn_traces)
-    tot, _ = total_loss(s, m, 0.01, per_layer)
-    return tot, syn
+from oracles import fd_gradient, matching_loss, max_rel_err
 
 
 def main():
@@ -42,10 +32,9 @@ def main():
     cfg = EncoderConfig(depth=3, width=args.width, input_channels=1,
                         input_size=args.size, num_classes=args.classes)
     rng = np.random.default_rng(5)
-    shape = (args.classes, 1, args.size, args.size)
     real64 = [rng.normal(size=(args.batch, 1, args.size, args.size))
               for _ in range(args.classes)]
-    pixels = rng.normal(size=shape).ravel()
+    pixels = rng.normal(size=(args.classes, 1, args.size, args.size)).ravel()
 
     params64 = sample_params(cfg, args.seed, dtype=np.float64)
     reals64 = [Tensor(r) for r in real64]
@@ -54,22 +43,12 @@ def main():
         t0 = time.time()
         params = sample_params(cfg, args.seed, dtype=dtype)
         reals = [Tensor(r.astype(dtype)) for r in real64]
-        tot, syn = build_loss(params, reals, pixels.astype(dtype), shape)
-        T.backward(tot)
-        analytic = syn.grad.ravel().astype(np.float64)
-
-        numeric = np.zeros_like(pixels)
-        for i in range(pixels.size):
-            up, down = pixels.copy(), pixels.copy()
-            up[i] += h
-            down[i] -= h
-            fu, _ = build_loss(params64, reals64, up, shape)
-            fd, _ = build_loss(params64, reals64, down, shape)
-            numeric[i] = (fu.item() - fd.item()) / (2 * h)
+        _, grad = matching_loss(params, reals, pixels)
+        analytic = grad.ravel().astype(np.float64)
+        numeric = fd_gradient(lambda v: matching_loss(params64, reals64, v)[0], pixels, h)
 
         gmax = max(np.abs(analytic).max(), np.abs(numeric).max())
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4 * gmax)
-        worst = float((np.abs(analytic - numeric) / denom).max())
+        worst = max_rel_err(analytic, numeric, floor=1e-4 * gmax)
         verdict = "OK" if worst < tol else "TOO LARGE"
         print(f"{np.dtype(dtype).name:8s} max rel err {worst:.3e} "
               f"(tolerance {tol:g}) [{verdict}] in {time.time() - t0:.1f}s")

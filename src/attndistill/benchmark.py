@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .data import ToySpec, gen_toy
 from .distill import DistillConfig, init_synthetic, run_distillation
 from .encoder import EncoderConfig
-from .evaluation import EvalConfig, coreset_baseline, evaluate_synthetic
+from .evaluation import EvalConfig, evaluate_synthetic
 
 TOY_SPEC = ToySpec(num_classes=4, images_per_class=64, image_size=16,
                    channels=1, seed=0, noise_std=2.0)
@@ -52,7 +52,7 @@ class BenchmarkResult:
 def run_pipeline(name, train, test, config=None, sink=None):
     """Distill (or select) a synthetic set and evaluate it."""
     if name == "coreset":
-        syn = coreset_baseline(train, IPC, "random", seed=0)
+        syn = init_synthetic(train, IPC, "random", seed=0)
     elif name == "noise":
         syn = init_synthetic(train, IPC, "noise", seed=0)
     else:

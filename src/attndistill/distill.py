@@ -234,7 +234,12 @@ def make_state(config, encoder_cfg, dataset, dtype=np.float32, record_draws=Fals
 
 
 def distill_step(state, iteration):
-    """One optimization step over all classes; returns the loss breakdown."""
+    """One optimization step over all classes; returns the loss breakdown.
+
+    Each class is matched against constant real-side targets, so its loss
+    touches only its own slice of the synthetic images: its gradient is
+    taken and its graph released before the next class is embedded.
+    """
     cfg = state.config
     syn = state.syn
     theta_seed, batch_seed, aug_seed = _derive_seeds(cfg.seed, 1, iteration, count=3)
@@ -244,45 +249,45 @@ def distill_step(state, iteration):
     h, w = syn.images.data.shape[2], syn.images.data.shape[3]
 
     dtype = syn.images.data.dtype
-    sam_total = Tensor(np.zeros((), dtype=dtype))
-    mmd_total = Tensor(np.zeros((), dtype=dtype))
-    depth = state.encoder.depth
-    per_layer = [0.0] * (depth - 1)
+    zero = Tensor(np.zeros((), dtype=dtype))
+    layers = cfg.layers if cfg.use_sam else ()
+    l_sam = l_mmd = zero.data
+    per_layer = [0.0] * (state.encoder.depth - 1)
     for cls in range(syn.num_classes):
         idx = state.dataset.per_class[cls]
         take = min(cfg.real_batch_per_class, len(idx))
         pick = rng_batch.choice(idx, size=take, replace=False)
         real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
-        syn_k = syn.class_slice(cls)
         draw = draw_augment(cfg.augment, h, w, rng_aug)
         if state.draw_log is not None:
             state.draw_log.append((iteration, cls, draw))
-        real_a, syn_a = siamese_augment(real, syn_k, cfg.augment, draw)
-        real_trace = forward(params, real_a, record_grad=False)
-        syn_trace = forward(params, syn_a)
-        cls_sam = 0.0
+        real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
+        with T.no_grad():
+            target = losses.class_stats(forward(params, real_a), cfg.p, layers)
+        stats = losses.class_stats(forward(params, syn_a), cfg.p, layers)
+        sam = mmd = zero
         if cfg.use_sam:
-            term, layer_terms = losses.sam_loss([real_trace], [syn_trace], cfg.p, cfg.layers)
-            sam_total = T.add(sam_total, term)
-            per_layer = [a + b for a, b in zip(per_layer, layer_terms)]
-            cls_sam = term.item()
-        cls_mmd = 0.0
+            sam, layer_terms = losses.sam_loss(target, stats)
+            for l, term in zip(target.layers, layer_terms):
+                per_layer[l - 1] += term
         if cfg.use_mmd:
-            term = losses.mmd_loss([real_trace], [syn_trace])
-            mmd_total = T.add(mmd_total, term)
-            cls_mmd = term.item()
-        if not (np.isfinite(cls_sam) and np.isfinite(cls_mmd)):
+            mmd = losses.mmd_loss(target, stats)
+        if not (np.isfinite(sam.data) and np.isfinite(mmd.data)):
+            syn.images.grad = None
             raise DistillError(f"non-finite loss at iteration {iteration}, class {cls}")
+        T.backward(losses.total_loss(sam, mmd, cfg.lam))
+        l_sam = l_sam + sam.data
+        l_mmd = l_mmd + mmd.data
 
-    total, breakdown = losses.total_loss(sam_total, mmd_total, cfg.lam, per_layer)
-    T.backward(total)
     if syn.images.grad is None:
         syn.images.grad = np.zeros_like(syn.images.data)
     T.sgd_momentum_step(syn.images, state.velocity, cfg.lr_images,
                         cfg.image_momentum, cfg.weight_decay_images)
     if not np.isfinite(syn.images.data).all():
         raise DistillError(f"non-finite synthetic pixels after iteration {iteration}")
-    return breakdown
+    l_sam, l_mmd = float(l_sam), float(l_mmd)
+    return LossBreakdown(l_sam=l_sam, l_mmd=l_mmd, total=l_sam + cfg.lam * l_mmd,
+                         per_layer=per_layer)
 
 
 def run_distillation(config, encoder_cfg, dataset, sink=None, dtype=np.float32):

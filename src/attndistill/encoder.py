@@ -61,7 +61,6 @@ class EncoderConfig:
 @dataclass
 class BlockParams:
     conv_w: Tensor
-    conv_b: Tensor
     gamma: Tensor
     beta: Tensor
 
@@ -76,7 +75,7 @@ class EncoderParams:
 
     def parameters(self):
         for blk in self.blocks:
-            yield from (blk.conv_w, blk.conv_b, blk.gamma, blk.beta)
+            yield from (blk.conv_w, blk.gamma, blk.beta)
         yield self.fc_w
         yield self.fc_b
 
@@ -88,8 +87,9 @@ class ForwardTrace:
 
 
 def sample_params(config, seed, dtype=np.float32, trainable=False):
-    """Draw encoder parameters: He-normal conv/fc weights, zero biases,
-    identity norm affine. Deterministic given the seed."""
+    """Draw encoder parameters: He-normal conv/fc weights, zero classifier
+    bias, identity norm affine. Deterministic given the seed. The convs have
+    no bias: instance norm subtracts each plane's mean, which cancels it."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     blocks = []
     cin = config.input_channels
@@ -99,7 +99,6 @@ def sample_params(config, seed, dtype=np.float32, trainable=False):
         w = rng.normal(0.0, std, size=(config.width, cin, 3, 3)).astype(dtype)
         blocks.append(BlockParams(
             conv_w=Tensor(w, requires_grad=trainable),
-            conv_b=Tensor(np.zeros(config.width, dtype=dtype), requires_grad=trainable),
             gamma=Tensor(np.ones(config.width, dtype=dtype), requires_grad=trainable),
             beta=Tensor(np.zeros(config.width, dtype=dtype), requires_grad=trainable),
         ))
@@ -131,7 +130,7 @@ def forward(params, images, record_grad=True):
     x = images
     features = []
     for blk in params.blocks:
-        x = T.conv2d(x, blk.conv_w, blk.conv_b, pad=1)
+        x = T.conv2d(x, blk.conv_w, pad=1)
         x = T.instance_norm(x, blk.gamma, blk.beta)
         x = T.relu(x)
         x = T.avgpool(x)

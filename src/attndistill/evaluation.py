@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .distill import AugmentSpec, apply_augment, draw_augment, init_synthetic
+from .distill import AugmentSpec, apply_augment, draw_augment
 from .encoder import forward, sample_params
 from .tensor import Tensor
 
@@ -57,12 +57,6 @@ class EvalReport:
             {"accuracies": self.accuracies, "mean": self.mean, "std": self.std,
              "config": self.config},
             indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(accuracies=d["accuracies"], mean=d["mean"], std=d["std"],
-                   config=d["config"])
 
 
 def train_classifier(syn, encoder_cfg, config, seed):
@@ -129,10 +123,3 @@ def evaluate_synthetic(syn, encoder_cfg, test_set, config):
         std=float(arr.std()),
         config=asdict(config),
     )
-
-
-def coreset_baseline(dataset, ipc, strategy, seed):
-    """A selection-only synthetic set (no optimization) for comparison."""
-    if strategy not in ("random", "kcenter"):
-        raise ValueError(f"coreset strategy must be random or kcenter, got {strategy!r}")
-    return init_synthetic(dataset, ipc, strategy, seed)

@@ -1,10 +1,11 @@
-"""Matching objectives between real and synthetic feature traces.
+"""Matching objectives between the real and synthetic images of one class.
 
-Two terms per class: a squared error between batch means of per-sample
-L2-normalized spatial attention maps on the intermediate layers, and a
-linear-kernel MMD (squared distance of empirical mean vectors) on the
-vectorized last-layer features. Error reduction is MSE over vector
-components; class and layer terms are summed.
+Both terms compare batch-mean statistics under one random encoder draw: a
+squared error between the batch means of per-sample L2-normalized spatial
+attention maps on the intermediate layers, and a linear-kernel MMD (squared
+distance of empirical mean vectors) on the vectorized last-layer features.
+Error reduction is MSE over vector components; layer terms are summed. The
+sum over classes is taken by the caller.
 """
 from __future__ import annotations
 
@@ -26,6 +27,15 @@ class LossBreakdown:
     per_layer: list[float] = field(default_factory=list)
 
 
+@dataclass
+class ClassStats:
+    """The statistics one class is matched on, under one encoder draw."""
+
+    layers: list[int]        # 1-based intermediate layers, ascending
+    attention: list[Tensor]  # mean unit attention map of each layer in ``layers``
+    feature: Tensor          # mean vectorized last-layer feature
+
+
 def attention_pool(feature, p):
     """Collapse (B, C, H, W) features to (B, H, W) attention: sum_c |f_c|^p."""
     if feature.data.ndim != 4:
@@ -38,104 +48,51 @@ def _mse(a, b):
     return T.scale(T.sum_all(T.mul(d, d)), 1.0 / d.size)
 
 
-def _zero(dtype):
-    return Tensor(np.zeros((), dtype=dtype))
-
-
 def _mean_unit_attention(feature, p):
     """Batch mean of the per-sample unit-normalized vectorized attention map."""
     z = T.flatten2d(attention_pool(feature, p))
     return T.mean_axis(T.l2_normalize_rows(z, NORM_EPS), 0)
 
 
-def sam_loss(real_traces, syn_traces, p, layers=None):
-    """Attention-matching loss over classes and selected intermediate layers.
+def class_stats(trace, p, layers=None):
+    """The statistics of one class's batch from its ForwardTrace.
 
-    real_traces / syn_traces: one ForwardTrace per class. layers: 1-based
-    block indices among 1..L-1 (None selects all of them). Returns the scalar
-    loss and the per-layer contributions (one float per layer 1..L-1, zero
-    for unselected layers).
+    layers: 1-based block indices among 1..L-1 (None selects all of them).
+    Computed under ``T.no_grad()`` on the real batch this gives the constant
+    targets; on the synthetic batch it records the graph back to the pixels.
     """
-    if len(real_traces) != len(syn_traces):
-        raise T.ShapeMismatch(
-            f"sam_loss: {len(real_traces)} real vs {len(syn_traces)} synthetic classes")
-    if not real_traces:
-        return _zero(np.float32), []
-    depth = len(real_traces[0].features)
-    if layers is None:
-        layers = range(1, depth)
-    layers = sorted(set(int(l) for l in layers))
+    depth = len(trace.features)
+    layers = sorted(set(int(l) for l in (range(1, depth) if layers is None else layers)))
     if layers and (layers[0] < 1 or layers[-1] > depth - 1):
-        raise ValueError(f"sam_loss: layers {layers} outside 1..{depth - 1}")
-    dtype = real_traces[0].logits.data.dtype
-    total = _zero(dtype)
-    per_layer = [0.0] * (depth - 1)
-    for rt, st in zip(real_traces, syn_traces):
-        for l in layers:
-            rm = _mean_unit_attention(rt.features[l - 1], p)
-            sm = _mean_unit_attention(st.features[l - 1], p)
-            term = _mse(rm, sm)
-            per_layer[l - 1] += term.item()
-            total = T.add(total, term)
-    return total, per_layer
+        raise ValueError(f"layers {layers} outside 1..{depth - 1}")
+    return ClassStats(
+        layers=layers,
+        attention=[_mean_unit_attention(trace.features[l - 1], p) for l in layers],
+        feature=T.mean_axis(T.flatten2d(trace.features[-1]), 0),
+    )
 
 
-def mmd_loss(real_traces, syn_traces):
-    """Linear-kernel MMD on vectorized last-layer features, summed over
-    classes: MSE between the real and synthetic empirical mean vectors."""
-    if len(real_traces) != len(syn_traces):
-        raise T.ShapeMismatch(
-            f"mmd_loss: {len(real_traces)} real vs {len(syn_traces)} synthetic classes")
-    if not real_traces:
-        return _zero(np.float32)
-    dtype = real_traces[0].logits.data.dtype
-    total = _zero(dtype)
-    for rt, st in zip(real_traces, syn_traces):
-        rm = T.mean_axis(T.flatten2d(rt.features[-1]), 0)
-        sm = T.mean_axis(T.flatten2d(st.features[-1]), 0)
-        total = T.add(total, _mse(rm, sm))
-    return total
+def sam_loss(real, syn):
+    """Attention-matching loss of one class over the selected layers.
 
-
-def feature_map_loss(real_traces, syn_traces, layers=None):
-    """Layer-wise raw feature-map transfer baseline: MSE between the real and
-    synthetic batch-mean feature maps (no attention pooling, no per-sample
-    normalization), summed over classes and the selected layers (default:
-    all of them)."""
-    if len(real_traces) != len(syn_traces):
-        raise T.ShapeMismatch(
-            f"feature_map_loss: {len(real_traces)} real vs {len(syn_traces)} "
-            f"synthetic classes")
-    if not real_traces:
-        return _zero(np.float32)
-    depth = len(real_traces[0].features)
-    if layers is None:
-        layers = range(1, depth + 1)
-    layers = sorted(set(int(l) for l in layers))
-    if layers and (layers[0] < 1 or layers[-1] > depth):
-        raise ValueError(f"feature_map_loss: layers {layers} outside 1..{depth}")
-    dtype = real_traces[0].logits.data.dtype
-    total = _zero(dtype)
-    for rt, st in zip(real_traces, syn_traces):
-        for l in layers:
-            rm = T.mean_axis(T.flatten2d(rt.features[l - 1]), 0)
-            sm = T.mean_axis(T.flatten2d(st.features[l - 1]), 0)
-            total = T.add(total, _mse(rm, sm))
-    return total
-
-
-def total_loss(sam, mmd, lam, per_layer=()):
-    """Combine the two terms: total = sam + lam * mmd.
-
-    Returns the scalar graph tensor plus a float breakdown for logging.
+    Returns the scalar loss and the float term of each layer in
+    ``real.layers``.
     """
+    terms = [_mse(r, s) for r, s in zip(real.attention, syn.attention)]
+    loss = Tensor(np.zeros((), dtype=real.feature.data.dtype))
+    for term in terms:
+        loss = T.add(loss, term)
+    return loss, [t.item() for t in terms]
+
+
+def mmd_loss(real, syn):
+    """Linear-kernel MMD of one class: MSE between the real and synthetic
+    mean last-layer feature vectors."""
+    return _mse(real.feature, syn.feature)
+
+
+def total_loss(sam, mmd, lam):
+    """Combine the two terms: sam + lam * mmd."""
     if lam < 0:
         raise ValueError(f"task balance must be >= 0, got {lam}")
-    total = T.add(sam, T.scale(mmd, lam))
-    l_sam, l_mmd = sam.item(), mmd.item()
-    return total, LossBreakdown(
-        l_sam=l_sam,
-        l_mmd=l_mmd,
-        total=l_sam + lam * l_mmd,
-        per_layer=list(per_layer),
-    )
+    return T.add(sam, T.scale(mmd, lam))

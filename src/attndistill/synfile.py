@@ -53,10 +53,6 @@ class RunManifest:
     def to_json(self, include_duration=False):
         return json.dumps(self.to_dict(include_duration), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def write_synthetic(path, syn, num_classes, manifest):
     """Serialize a synthetic set plus its manifest."""

@@ -69,9 +69,6 @@ class Tensor:
             raise TensorError(f"item() requires a scalar, got shape {self.data.shape}")
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         backward(self)
 
@@ -341,12 +338,12 @@ def relu(a):
     return out
 
 
-def conv2d(x, w, b, pad=1):
-    """3x3 cross-correlation with zero padding, stride 1.
+def conv2d(x, w, pad=1):
+    """3x3 cross-correlation with zero padding, stride 1, no bias.
 
-    x: (N, Cin, H, W), w: (Cout, Cin, 3, 3), b: (Cout,) -> (N, Cout, H, W)
-    for pad=1. Implemented as im2col + one GEMM per sample: the column
-    buffer is (N, Cin*9, Ho*Wo), so ``W @ cols`` writes NCHW directly.
+    x: (N, Cin, H, W), w: (Cout, Cin, 3, 3) -> (N, Cout, H, W) for pad=1.
+    Implemented as im2col + one GEMM per sample: the column buffer is
+    (N, Cin*9, Ho*Wo), so ``W @ cols`` writes NCHW directly.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: expected 4-D input/weight, got {x.data.shape}, {w.data.shape}")
@@ -355,8 +352,6 @@ def conv2d(x, w, b, pad=1):
     if x.data.shape[1] != w.data.shape[1]:
         raise ShapeMismatch(
             f"conv2d: input channels {x.data.shape[1]} != weight channels {w.data.shape[1]}")
-    if b.data.shape != (w.data.shape[0],):
-        raise ShapeMismatch(f"conv2d: bias shape {b.data.shape} != ({w.data.shape[0]},)")
     n, cin, h, wd = x.data.shape
     cout = w.data.shape[0]
     hp, wp = h + 2 * pad, wd + 2 * pad
@@ -368,8 +363,7 @@ def conv2d(x, w, b, pad=1):
     del xp, win  # free the padded copy before the GEMM allocates its output
     wmat = w.data.reshape(cout, cin * 9)
     y = np.matmul(wmat, cols)
-    y += b.data[:, None]
-    out = _node(y.reshape(n, cout, ho, wo), (x, w, b), "conv2d")
+    out = _node(y.reshape(n, cout, ho, wo), (x, w), "conv2d")
     if out.requires_grad:
         wcols = cols if w.requires_grad else None  # only the weight gradient reads them
 
@@ -377,8 +371,6 @@ def conv2d(x, w, b, pad=1):
             gm = g.reshape(n, cout, ho * wo)
             if w.requires_grad:
                 _accum(w, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
-            if b.requires_grad:
-                _accum(b, gm.sum(axis=(0, 2)))
             if x.requires_grad:
                 gcols = np.matmul(wmat.T, gm).reshape(n, cin, 3, 3, ho, wo)
                 gxp = np.zeros((n, cin, hp, wp), dtype=gcols.dtype)

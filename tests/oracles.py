@@ -1,12 +1,18 @@
 """Independent reference implementations used to check the fast paths.
 
-Everything here is deliberately naive (nested loops, per-coordinate finite
-differences) and shares no code with the package.
+The layer oracles are deliberately naive (nested loops, per-coordinate
+finite differences) and share no code with the package. The one exception
+is ``matching_loss``, the distillation objective that every gradient check
+of the full loss differentiates.
 """
 import numpy as np
 
+from attndistill import losses, tensor as T
+from attndistill.encoder import forward
+from attndistill.tensor import Tensor
 
-def naive_conv2d(x, w, b, pad=1):
+
+def naive_conv2d(x, w, pad=1):
     n, cin, h, wd = x.shape
     cout, cin2, kh, kw = w.shape
     assert cin == cin2
@@ -23,7 +29,7 @@ def naive_conv2d(x, w, b, pad=1):
                                 ii, jj = i + ki - pad, j + kj - pad
                                 if 0 <= ii < h and 0 <= jj < wd:
                                     acc += x[ni, ci, ii, jj] * w[co, ci, ki, kj]
-                    out[ni, co, i, j] = acc + b[co]
+                    out[ni, co, i, j] = acc
     return out
 
 
@@ -122,3 +128,25 @@ def max_rel_err(a, b, floor=None):
         floor = 1e-6 * scale
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def matching_loss(params, reals, pixels, p=4.0, lam=0.01):
+    """The distillation objective over every layer, with the class loop of
+    ``distill_step`` and no augmentation: class k matches the real batch
+    ``reals[k]`` against synthetic image k of ``pixels`` (one image per
+    class, in the precision of ``params``), and each class's gradient is
+    taken on its own. Returns the loss summed over classes and the gradient
+    with respect to the synthetic images."""
+    dtype = params.fc_w.data.dtype
+    shape = (len(reals),) + reals[0].data.shape[1:]
+    syn = Tensor(np.asarray(pixels, dtype=dtype).reshape(shape), requires_grad=True)
+    value = 0.0
+    for k, real in enumerate(reals):
+        with T.no_grad():
+            target = losses.class_stats(forward(params, real), p)
+        stats = losses.class_stats(forward(params, T.slice_rows(syn, k, k + 1)), p)
+        sam, _ = losses.sam_loss(target, stats)
+        total = losses.total_loss(sam, losses.mmd_loss(target, stats), lam)
+        T.backward(total)
+        value += total.item()
+    return value, syn.grad

@@ -17,11 +17,11 @@ from attndistill.data import FormatError, ToySpec, gen_toy, load_cifar10, load_m
 from attndistill.distill import DistillConfig, run_distillation
 from attndistill.encoder import EncoderConfig, forward, sample_params
 from attndistill.evaluation import EvalConfig
-from attndistill.losses import attention_pool, mmd_loss, sam_loss, total_loss
+from attndistill.losses import attention_pool, class_stats, mmd_loss, sam_loss
 from attndistill.synfile import read_synthetic
 from attndistill.tensor import Tensor
 
-from oracles import (fd_gradient, max_rel_err, naive_attention_pool,
+from oracles import (fd_gradient, matching_loss, max_rel_err, naive_attention_pool,
                      naive_avgpool, naive_conv2d, naive_linear)
 from test_data import write_cifar, write_mnist_pair
 
@@ -44,17 +44,6 @@ def criterion(num, title):
 # criterion 1: gradient correctness of the full combined loss
 
 
-def _full_loss(params, reals, syn_pixels, dtype):
-    syn = Tensor(np.asarray(syn_pixels, dtype=dtype).reshape(2, 1, 8, 8),
-                 requires_grad=True)
-    real_traces = [forward(params, rb, record_grad=False) for rb in reals]
-    syn_traces = [forward(params, T.slice_rows(syn, k, k + 1)) for k in range(2)]
-    s, per_layer = sam_loss(real_traces, syn_traces, 4.0)
-    m = mmd_loss(real_traces, syn_traces)
-    tot, _ = total_loss(s, m, 0.01, per_layer)
-    return tot, syn
-
-
 @criterion(1, "gradient correctness")
 def test_criterion_1_full_loss_gradient():
     start = time.monotonic()
@@ -67,15 +56,13 @@ def test_criterion_1_full_loss_gradient():
     reals64 = [Tensor(r) for r in real64]
 
     def loss_value(v):
-        tot, _ = _full_loss(params64, reals64, v, np.float64)
-        return tot.item()
+        return matching_loss(params64, reals64, v)[0]
 
     for dtype, h, tol in ((np.float32, 1e-3, 1e-3), (np.float64, 1e-4, 1e-6)):
         params = sample_params(cfg, 33, dtype=dtype)
         reals = [Tensor(r.astype(dtype)) for r in real64]
-        tot, syn = _full_loss(params, reals, syn0, dtype)
-        T.backward(tot)
-        analytic = syn.grad.ravel().astype(np.float64)
+        _, grad = matching_loss(params, reals, syn0)
+        analytic = grad.ravel().astype(np.float64)
         numeric = fd_gradient(loss_value, syn0, h)
         gmax = max(np.abs(analytic).max(), np.abs(numeric).max())
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4 * gmax)
@@ -95,9 +82,9 @@ def test_criterion_2_identical_batches():
     batch = Tensor(rng.normal(size=(4, 1, 8, 8)).astype(np.float32))
     for seed in range(20):
         params = sample_params(cfg, seed)
-        trace = forward(params, batch, record_grad=False)
-        s, _ = sam_loss([trace], [trace], 4.0)
-        m = mmd_loss([trace], [trace])
+        stats = class_stats(forward(params, batch, record_grad=False), 4.0)
+        s, _ = sam_loss(stats, stats)
+        m = mmd_loss(stats, stats)
         assert abs(s.item()) < 1e-6
         assert abs(m.item()) < 1e-6
 
@@ -115,7 +102,7 @@ def test_criterion_3_feature_scaling():
     rng = np.random.default_rng(45)
     real = forward(params, Tensor(rng.normal(size=(4, 1, 8, 8))), record_grad=False)
     syn = forward(params, Tensor(rng.normal(size=(2, 1, 8, 8))), record_grad=False)
-    _, base = sam_loss([real], [syn], 4.0)
+    _, base = sam_loss(class_stats(real, 4.0), class_stats(syn, 4.0))
 
     def scaled(trace, layer, c):
         feats = [Tensor(f.data * c) if i == layer else f
@@ -124,7 +111,8 @@ def test_criterion_3_feature_scaling():
 
     for layer in (0, 1):
         for c in (0.1, 7.3):
-            _, got = sam_loss([scaled(real, layer, c)], [scaled(syn, layer, c)], 4.0)
+            _, got = sam_loss(class_stats(scaled(real, layer, c), 4.0),
+                              class_stats(scaled(syn, layer, c), 4.0))
             assert abs(got[layer] - base[layer]) < 1e-6, (layer, c)
 
 
@@ -142,9 +130,8 @@ def test_criterion_4_naive_loop_oracles():
         cout = int(rng.integers(1, 5))
         x = rng.normal(size=(n, c, h, w))
         wt = rng.normal(size=(cout, c, 3, 3))
-        b = rng.normal(size=cout)
-        assert max_rel_err(T.conv2d(Tensor(x), Tensor(wt), Tensor(b)).data,
-                           naive_conv2d(x, wt, b)) < 1e-6
+        assert max_rel_err(T.conv2d(Tensor(x), Tensor(wt)).data,
+                           naive_conv2d(x, wt)) < 1e-6
         assert max_rel_err(T.avgpool(Tensor(x)).data, naive_avgpool(x)) < 1e-6
         p = float(rng.choice([1.0, 2.0, 4.0]))
         assert max_rel_err(attention_pool(Tensor(x), p).data,

@@ -91,7 +91,7 @@ def test_manifest_json_round_trip():
     m = RunManifest(tool_version="1.2", seed=5, dataset={"path": "p", "sha256": "h"},
                     distill={"ipc": 3, "lam": 0.01}, encoder={"depth": 3},
                     stats={"mean": [0.5], "std": [0.25]}, duration_sec=1.25)
-    parsed = RunManifest.from_dict(json.loads(m.to_json(include_duration=True)))
+    parsed = RunManifest(**json.loads(m.to_json(include_duration=True)))
     assert parsed == m
     # artifact serialization nulls the wall clock for byte determinism
     assert json.loads(m.to_json())["duration_sec"] is None

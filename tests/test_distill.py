@@ -206,6 +206,27 @@ def test_zero_objective_is_noop_on_images():
     assert np.array_equal(state.syn.images.data, before)
 
 
+@pytest.mark.parametrize("layers", [None, (2,)])
+def test_breakdown_per_layer_bookkeeping(layers):
+    train, enc = toy_setup(classes=3)
+    state = make_state(quick_config(layers=layers), enc, train)
+    brk = distill_step(state, 0)
+    selected = set(range(1, enc.depth) if layers is None else layers)
+    assert len(brk.per_layer) == enc.depth - 1
+    for layer, term in enumerate(brk.per_layer, start=1):
+        assert (term > 0.0) if layer in selected else (term == 0.0), (layer, term)
+    # per_layer sums float32 terms in float64; l_sam sums them in float32
+    assert sum(brk.per_layer) == pytest.approx(brk.l_sam, rel=1e-6)
+    assert brk.total == brk.l_sam + state.config.lam * brk.l_mmd
+
+
+def test_step_rejects_layers_outside_intermediate():
+    train, enc = toy_setup()
+    state = make_state(quick_config(layers=(enc.depth,)), enc, train)
+    with pytest.raises(ValueError):
+        distill_step(state, 0)
+
+
 def test_siamese_property_instrumented():
     train, enc = toy_setup()
     state = make_state(quick_config(), enc, train, record_draws=True)

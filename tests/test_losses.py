@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attndistill import losses, tensor as T
 from attndistill.encoder import EncoderConfig, ForwardTrace, forward, sample_params
-from attndistill.losses import (attention_pool, feature_map_loss, mmd_loss,
-                                sam_loss, total_loss)
+from attndistill.losses import attention_pool, class_stats, mmd_loss, sam_loss, total_loss
 from attndistill.tensor import Tensor
 
-from oracles import fd_gradient, max_rel_err, naive_attention_pool
+from oracles import fd_gradient, matching_loss, max_rel_err, naive_attention_pool
 
 
 def trace_from(features, dtype=np.float64):
@@ -19,15 +17,16 @@ def trace_from(features, dtype=np.float64):
     return ForwardTrace(features=feats, logits=Tensor(np.zeros((b, 1), dtype=dtype)))
 
 
-def random_traces(rng, classes=2, depth=3, batch=3, width=2, size=8, dtype=np.float64):
-    traces = []
-    for _ in range(classes):
-        feats, s = [], size
-        for _ in range(depth):
-            s = -(-s // 2)
-            feats.append(rng.normal(size=(batch, width, s, s)))
-        traces.append(trace_from(feats, dtype))
-    return traces
+def random_features(rng, depth=3, batch=3, width=2, size=8):
+    feats, s = [], size
+    for _ in range(depth):
+        s = -(-s // 2)
+        feats.append(rng.normal(size=(batch, width, s, s)))
+    return feats
+
+
+def stats_of(features, layers=None):
+    return class_stats(trace_from(features), 4.0, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -72,76 +71,89 @@ def test_attention_pool_nonnegative():
 
 
 # ---------------------------------------------------------------------------
+# class statistics
+
+
+def test_class_stats_select_layers():
+    rng = np.random.default_rng(13)
+    feats = random_features(rng)
+    assert stats_of(feats).layers == [1, 2]
+    only2 = stats_of(feats, layers=(2, 2))
+    assert only2.layers == [2] and len(only2.attention) == 1
+    assert stats_of(feats, layers=()).attention == []
+    mean = feats[-1].reshape(3, -1).mean(axis=0)
+    assert np.allclose(only2.feature.data, mean, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # attention-matching loss
 
 
 def test_sam_loss_zero_for_identical_batches():
     rng = np.random.default_rng(4)
-    traces = random_traces(rng)
-    loss, per_layer = sam_loss(traces, traces, 4.0)
+    stats = stats_of(random_features(rng))
+    loss, per_layer = sam_loss(stats, stats)
     assert loss.item() == 0.0
     assert per_layer == [0.0, 0.0]
 
 
 def test_sam_loss_layer_scale_invariance():
     rng = np.random.default_rng(5)
-    real = random_traces(rng, classes=1)
-    syn = random_traces(rng, classes=1)
-    _, base = sam_loss(real, syn, 4.0)
+    real, syn = random_features(rng), random_features(rng)
+    _, base = sam_loss(stats_of(real), stats_of(syn))
     for c in (0.1, 7.3):
-        scaled_real = [trace_from([c * f.data if i == 0 else f.data
-                                   for i, f in enumerate(t.features)]) for t in real]
-        scaled_syn = [trace_from([c * f.data if i == 0 else f.data
-                                  for i, f in enumerate(t.features)]) for t in syn]
-        _, got = sam_loss(scaled_real, scaled_syn, 4.0)
+        scaled_real = [c * f if i == 0 else f for i, f in enumerate(real)]
+        scaled_syn = [c * f if i == 0 else f for i, f in enumerate(syn)]
+        _, got = sam_loss(stats_of(scaled_real), stats_of(scaled_syn))
         assert abs(got[0] - base[0]) < 1e-6
         assert got[1] == base[1]
 
 
 def test_sam_loss_orthogonal_unit_vectors():
-    # one class, one intermediate layer; engineered so the normalized batch
-    # means are exactly [1, 0] and [0, 1] -> MSE 1.0
-    real = trace_from([np.array([[[[1.0, 0.0]]]]), np.zeros((1, 1, 1, 1))])
-    syn = trace_from([np.array([[[[0.0, 1.0]]]]), np.zeros((1, 1, 1, 1))])
-    loss, per_layer = sam_loss([real], [syn], 4.0, layers=[1])
+    # one intermediate layer, engineered so the normalized batch means are
+    # exactly [1, 0] and [0, 1] -> MSE 1.0
+    real = stats_of([np.array([[[[1.0, 0.0]]]]), np.zeros((1, 1, 1, 1))], layers=[1])
+    syn = stats_of([np.array([[[[0.0, 1.0]]]]), np.zeros((1, 1, 1, 1))], layers=[1])
+    loss, per_layer = sam_loss(real, syn)
     assert np.isclose(loss.item(), 1.0)
     assert np.isclose(per_layer[0], 1.0)
 
 
 def test_sam_loss_batch_permutation_invariance():
     rng = np.random.default_rng(6)
-    real = random_traces(rng, classes=2, batch=5)
-    syn = random_traces(rng, classes=2, batch=4)
-    base, _ = sam_loss(real, syn, 4.0)
+    real = random_features(rng, batch=5)
+    syn = stats_of(random_features(rng, batch=4))
+    base, _ = sam_loss(stats_of(real), syn)
     perm = rng.permutation(5)
-    real_p = [trace_from([f.data[perm] for f in t.features]) for t in real]
-    got, _ = sam_loss(real_p, syn, 4.0)
+    got, _ = sam_loss(stats_of([f[perm] for f in real]), syn)
     assert abs(got.item() - base.item()) < 1e-6
 
 
 def test_sam_loss_monotone_in_layers():
     rng = np.random.default_rng(7)
-    real = random_traces(rng)
-    syn = random_traces(rng)
-    full, _ = sam_loss(real, syn, 4.0, layers=[1, 2])
-    only1, _ = sam_loss(real, syn, 4.0, layers=[1])
-    only2, _ = sam_loss(real, syn, 4.0, layers=[2])
-    assert full.item() >= only1.item() - 1e-12
-    assert full.item() >= only2.item() - 1e-12
-    assert np.isclose(only1.item() + only2.item(), full.item())
+    real, syn = random_features(rng), random_features(rng)
+
+    def sam(layers):
+        return sam_loss(stats_of(real, layers), stats_of(syn, layers))[0].item()
+
+    full, only1, only2 = sam([1, 2]), sam([1]), sam([2])
+    assert full >= only1 - 1e-12
+    assert full >= only2 - 1e-12
+    assert np.isclose(only1 + only2, full)
 
 
 def test_sam_loss_rejects_last_layer():
     rng = np.random.default_rng(8)
-    real = random_traces(rng)
     with pytest.raises(ValueError):
-        sam_loss(real, real, 4.0, layers=[3])
+        stats_of(random_features(rng), layers=[3])
+    with pytest.raises(ValueError):
+        stats_of(random_features(rng), layers=[0])
 
 
 def test_sam_loss_zero_feature_map_guarded():
-    real = trace_from([np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 1, 1))])
-    syn = trace_from([np.ones((2, 1, 2, 2)), np.zeros((2, 1, 1, 1))])
-    loss, _ = sam_loss([real], [syn], 4.0)
+    real = stats_of([np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 1, 1))])
+    syn = stats_of([np.ones((2, 1, 2, 2)), np.zeros((2, 1, 1, 1))])
+    loss, _ = sam_loss(real, syn)
     assert np.isfinite(loss.item())
 
 
@@ -151,70 +163,34 @@ def test_sam_loss_zero_feature_map_guarded():
 
 def test_mmd_loss_zero_for_identical_batches():
     rng = np.random.default_rng(9)
-    traces = random_traces(rng)
-    assert mmd_loss(traces, traces).item() == 0.0
+    stats = stats_of(random_features(rng))
+    assert mmd_loss(stats, stats).item() == 0.0
 
 
 def test_mmd_loss_orthogonal_means():
-    real = trace_from([np.zeros((1, 1, 1, 1)), np.array([[[[1.0, 0.0]]]])])
-    syn = trace_from([np.zeros((1, 1, 1, 1)), np.array([[[[0.0, 1.0]]]])])
-    assert np.isclose(mmd_loss([real], [syn]).item(), 1.0)
+    real = stats_of([np.zeros((1, 1, 1, 1)), np.array([[[[1.0, 0.0]]]])])
+    syn = stats_of([np.zeros((1, 1, 1, 1)), np.array([[[[0.0, 1.0]]]])])
+    assert np.isclose(mmd_loss(real, syn).item(), 1.0)
 
 
 def test_mmd_loss_shift_invariance():
     rng = np.random.default_rng(10)
-    real = random_traces(rng, classes=1)
-    syn = random_traces(rng, classes=1)
-    base = mmd_loss(real, syn).item()
-    shift = rng.normal(size=real[0].features[-1].data.shape[1:])
-    real_s = [trace_from([f.data for f in t.features[:-1]] + [t.features[-1].data + shift])
-              for t in real]
-    syn_s = [trace_from([f.data for f in t.features[:-1]] + [t.features[-1].data + shift])
-             for t in syn]
-    assert abs(mmd_loss(real_s, syn_s).item() - base) < 1e-9
+    real, syn = random_features(rng), random_features(rng)
+    base = mmd_loss(stats_of(real), stats_of(syn)).item()
+    shift = rng.normal(size=real[-1].shape[1:])
+    real_s = real[:-1] + [real[-1] + shift]
+    syn_s = syn[:-1] + [syn[-1] + shift]
+    assert abs(mmd_loss(stats_of(real_s), stats_of(syn_s)).item() - base) < 1e-9
 
 
 def test_losses_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        real = random_traces(rng)
-        syn = random_traces(rng)
-        s, _ = sam_loss(real, syn, 4.0)
+        real = stats_of(random_features(rng))
+        syn = stats_of(random_features(rng))
+        s, _ = sam_loss(real, syn)
         assert s.item() >= 0.0
         assert mmd_loss(real, syn).item() >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# raw feature-map transfer baseline
-
-
-def test_feature_map_loss_zero_for_identical_batches():
-    rng = np.random.default_rng(20)
-    traces = random_traces(rng)
-    assert feature_map_loss(traces, traces).item() == 0.0
-
-
-def test_feature_map_loss_is_not_scale_invariant():
-    # unlike the attention term, raw feature transfer sees a pure rescaling
-    rng = np.random.default_rng(21)
-    real = random_traces(rng, classes=1)
-    syn = random_traces(rng, classes=1)
-    base = feature_map_loss(real, syn, layers=[1]).item()
-    real_s = [trace_from([3.0 * t.features[0].data] +
-                         [f.data for f in t.features[1:]]) for t in real]
-    syn_s = [trace_from([3.0 * t.features[0].data] +
-                        [f.data for f in t.features[1:]]) for t in syn]
-    scaled = feature_map_loss(real_s, syn_s, layers=[1]).item()
-    assert np.isclose(scaled, 9.0 * base)
-
-
-def test_feature_map_loss_includes_last_layer_by_default():
-    rng = np.random.default_rng(22)
-    real = random_traces(rng)
-    syn = random_traces(rng)
-    full = feature_map_loss(real, syn).item()
-    parts = sum(feature_map_loss(real, syn, layers=[l]).item() for l in (1, 2, 3))
-    assert np.isclose(full, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +200,12 @@ def test_feature_map_loss_includes_last_layer_by_default():
 def test_total_loss_lambda_zero_is_sam_only():
     sam = Tensor(np.asarray(0.37))
     mmd = Tensor(np.asarray(9.9))
-    _, brk = total_loss(sam, mmd, 0.0)
-    assert brk.total == brk.l_sam == pytest.approx(0.37)
+    assert total_loss(sam, mmd, 0.0).item() == pytest.approx(0.37)
 
 
 def test_total_loss_hand_case():
-    _, brk = total_loss(Tensor(np.asarray(0.5)), Tensor(np.asarray(2.0)), 0.01)
-    assert np.isclose(brk.total, 0.52)
-    assert brk.total == brk.l_sam + 0.01 * brk.l_mmd
+    total = total_loss(Tensor(np.asarray(0.5)), Tensor(np.asarray(2.0)), 0.01)
+    assert np.isclose(total.item(), 0.52)
 
 
 def test_total_loss_rejects_negative_lambda():
@@ -249,30 +223,20 @@ def test_zero_loss_identity_through_encoder():
     batch = Tensor(rng.normal(size=(4, 1, 8, 8)).astype(np.float32))
     for seed in range(20):
         params = sample_params(cfg, seed)
-        trace = forward(params, batch, record_grad=False)
-        s, _ = sam_loss([trace], [trace], 4.0)
-        m = mmd_loss([trace], [trace])
+        stats = class_stats(forward(params, batch, record_grad=False), 4.0)
+        s, _ = sam_loss(stats, stats)
+        m = mmd_loss(stats, stats)
         assert abs(s.item()) < 1e-6 and abs(m.item()) < 1e-6
 
 
 def test_total_gradient_matches_finite_differences():
-    # 2 classes, batch 4 real vs 2 synthetic, depth-3 width-8 encoder, 8x8
+    # 2 classes, batch 4 real vs 1 synthetic, depth-3 width-8 encoder, 8x8
     cfg = EncoderConfig(depth=3, width=8, input_channels=1, input_size=8, num_classes=2)
     params = sample_params(cfg, 21, dtype=np.float64)
     rng = np.random.default_rng(22)
     real = [Tensor(rng.normal(size=(4, 1, 8, 8))) for _ in range(2)]
     syn0 = rng.normal(size=(2, 1, 8, 8))
 
-    def total_at(pixels):
-        syn = Tensor(pixels.reshape(2, 1, 8, 8), requires_grad=True)
-        real_tr = [forward(params, rb, record_grad=False) for rb in real]
-        syn_tr = [forward(params, T.slice_rows(syn, k, k + 1)) for k in range(2)]
-        s, per_layer = sam_loss(real_tr, syn_tr, 4.0)
-        m = mmd_loss(real_tr, syn_tr)
-        tot, _ = total_loss(s, m, 0.01, per_layer)
-        return tot, syn
-
-    tot, syn = total_at(syn0)
-    T.backward(tot)
-    num = fd_gradient(lambda v: total_at(v)[0].item(), syn0.ravel(), 1e-4)
-    assert max_rel_err(syn.grad.ravel(), num) < 1e-6
+    _, grad = matching_loss(params, real, syn0)
+    num = fd_gradient(lambda v: matching_loss(params, real, v)[0], syn0.ravel(), 1e-4)
+    assert max_rel_err(grad.ravel(), num) < 1e-6
