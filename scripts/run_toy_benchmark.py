@@ -8,6 +8,7 @@ ablations, all under one shared evaluation protocol.
 Usage: python3 scripts/run_toy_benchmark.py [--skip-ablations]
 """
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -27,14 +28,15 @@ def main():
                         help="override the number of evaluation models")
     args = parser.parse_args()
 
+    eval_cfg = benchmark.EVAL
     if args.models is not None:
-        benchmark.EVAL.num_models = args.models
+        eval_cfg = dataclasses.replace(eval_cfg, num_models=args.models)
     over = {} if args.iters is None else {"iterations": args.iters}
 
     train, test = benchmark.load_benchmark_data()
     print(f"toy benchmark: {benchmark.TOY_SPEC}")
     print(f"encoder: {benchmark.ENCODER}")
-    print(f"eval protocol: {benchmark.EVAL}\n")
+    print(f"eval protocol: {eval_cfg}\n")
 
     runs = [
         ("distilled (joint)", benchmark.distill_config(**over)),
@@ -51,7 +53,7 @@ def main():
     for label, what in runs:
         t0 = time.time()
         if isinstance(what, str):
-            res = benchmark.run_pipeline(what, train, test)
+            res = benchmark.run_pipeline(what, train, test, eval_config=eval_cfg)
         else:
             config = what or benchmark.distill_config()
             last = [None]
@@ -62,7 +64,8 @@ def main():
                     print(f"  [{label}] iter {i}: total {brk.total:.5f} "
                           f"(sam {brk.l_sam:.5f}, mmd {brk.l_mmd:.5f})")
 
-            res = benchmark.run_pipeline(label, train, test, config=config, sink=sink)
+            res = benchmark.run_pipeline(label, train, test, config=config, sink=sink,
+                                         eval_config=eval_cfg)
         results.append((label, res, time.time() - t0))
         accs = " ".join(f"{a:.3f}" for a in res.accuracies)
         print(f"{label:22s} mean {res.mean:.3f}  models [{accs}]  ({time.time() - t0:.0f}s)\n")

@@ -49,15 +49,16 @@ class BenchmarkResult:
     accuracies: list[float] = field(default_factory=list)
 
 
-def run_pipeline(name, train, test, config=None, sink=None):
-    """Distill (or select) a synthetic set and evaluate it."""
+def run_pipeline(name, train, test, config=None, sink=None, eval_config=EVAL):
+    """Distill (or select) a synthetic set and evaluate it under
+    ``eval_config``."""
     if name == "coreset":
         syn = init_synthetic(train, IPC, "random", seed=0)
     elif name == "noise":
         syn = init_synthetic(train, IPC, "noise", seed=0)
     else:
         syn = run_distillation(config or distill_config(), ENCODER, train, sink=sink)
-    report = evaluate_synthetic(syn, ENCODER, test, EVAL)
+    report = evaluate_synthetic(syn, ENCODER, test, eval_config)
     return BenchmarkResult(name=name, mean=report.mean, accuracies=report.accuracies)
 
 

@@ -236,9 +236,10 @@ def make_state(config, encoder_cfg, dataset, dtype=np.float32, record_draws=Fals
 def distill_step(state, iteration):
     """One optimization step over all classes; returns the loss breakdown.
 
-    Each class is matched against constant real-side targets, so its loss
-    touches only its own slice of the synthetic images: its gradient is
-    taken and its graph released before the next class is embedded.
+    Each class is matched against constant real-side targets, embedded in
+    chunks with no graph, so its loss touches only its own slice of the
+    synthetic images: its gradient is taken and its graph released before
+    the next class is embedded.
     """
     cfg = state.config
     syn = state.syn
@@ -251,11 +252,14 @@ def distill_step(state, iteration):
     dtype = syn.images.data.dtype
     zero = Tensor(np.zeros((), dtype=dtype))
     layers = cfg.layers if cfg.use_sam else ()
+    chunk = state.encoder.nograd_chunk()
     l_sam = l_mmd = zero.data
     per_layer = [0.0] * (state.encoder.depth - 1)
     for cls in range(syn.num_classes):
         idx = state.dataset.per_class[cls]
         take = min(cfg.real_batch_per_class, len(idx))
+        if take == 0:
+            raise DistillError(f"class {cls} has no real images")
         pick = rng_batch.choice(idx, size=take, replace=False)
         real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
         draw = draw_augment(cfg.augment, h, w, rng_aug)
@@ -263,7 +267,10 @@ def distill_step(state, iteration):
             state.draw_log.append((iteration, cls, draw))
         real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
         with T.no_grad():
-            target = losses.class_stats(forward(params, real_a), cfg.p, layers)
+            target = losses.target_stats(
+                (forward(params, Tensor(real_a.data[i:i + chunk]))
+                 for i in range(0, take, chunk)),
+                cfg.p, layers)
         stats = losses.class_stats(forward(params, syn_a), cfg.p, layers)
         sam = mmd = zero
         if cfg.use_sam:

@@ -21,7 +21,7 @@ class EvalError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     num_models: int = 5
     epochs: int = 300
@@ -91,20 +91,20 @@ def train_classifier(syn, encoder_cfg, config, seed):
     return params
 
 
-def test_accuracy(params, test_set, batch_size=512):
+def test_accuracy(params, test_set):
     """Fraction of argmax-correct predictions; ties resolve to the lowest
-    class index."""
+    class index. Scored in no-grad chunks sized by the encoder's chunk rule."""
     images = test_set.images.data
     labels = test_set.labels
     n = images.shape[0]
     if n == 0:
         raise EvalError("empty test set")
+    chunk = params.config.nograd_chunk()
     correct = 0
     with T.no_grad():
-        for start in range(0, n, batch_size):
-            xb = Tensor(images[start:start + batch_size])
-            logits = forward(params, xb).logits.data
-            correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
+        for start in range(0, n, chunk):
+            logits = forward(params, Tensor(images[start:start + chunk])).logits.data
+            correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / n
 
 

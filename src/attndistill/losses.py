@@ -5,7 +5,8 @@ squared error between the batch means of per-sample L2-normalized spatial
 attention maps on the intermediate layers, and a linear-kernel MMD (squared
 distance of empirical mean vectors) on the vectorized last-layer features.
 Error reduction is MSE over vector components; layer terms are summed. The
-sum over classes is taken by the caller.
+sum over classes is taken by the caller. The real side is a constant target,
+so its statistics are accumulated chunk by chunk without a graph.
 """
 from __future__ import annotations
 
@@ -48,28 +49,57 @@ def _mse(a, b):
     return T.scale(T.sum_all(T.mul(d, d)), 1.0 / d.size)
 
 
-def _mean_unit_attention(feature, p):
-    """Batch mean of the per-sample unit-normalized vectorized attention map."""
-    z = T.flatten2d(attention_pool(feature, p))
-    return T.mean_axis(T.l2_normalize_rows(z, NORM_EPS), 0)
+def _select_layers(depth, layers):
+    layers = sorted(set(int(l) for l in (range(1, depth) if layers is None else layers)))
+    if layers and (layers[0] < 1 or layers[-1] > depth - 1):
+        raise ValueError(f"layers {layers} outside 1..{depth - 1}")
+    return layers
+
+
+def _sample_rows(trace, p, layers):
+    """The per-sample rows a class's statistics average: the unit-normalized
+    vectorized attention map of each layer in ``layers``, then the
+    vectorized last-layer feature."""
+    rows = [T.l2_normalize_rows(T.flatten2d(attention_pool(trace.features[l - 1], p)),
+                                NORM_EPS)
+            for l in layers]
+    return rows + [T.flatten2d(trace.features[-1])]
 
 
 def class_stats(trace, p, layers=None):
     """The statistics of one class's batch from its ForwardTrace.
 
     layers: 1-based block indices among 1..L-1 (None selects all of them).
-    Computed under ``T.no_grad()`` on the real batch this gives the constant
-    targets; on the synthetic batch it records the graph back to the pixels.
+    On the synthetic batch this records the graph back to the pixels.
     """
-    depth = len(trace.features)
-    layers = sorted(set(int(l) for l in (range(1, depth) if layers is None else layers)))
-    if layers and (layers[0] < 1 or layers[-1] > depth - 1):
-        raise ValueError(f"layers {layers} outside 1..{depth - 1}")
-    return ClassStats(
-        layers=layers,
-        attention=[_mean_unit_attention(trace.features[l - 1], p) for l in layers],
-        feature=T.mean_axis(T.flatten2d(trace.features[-1]), 0),
-    )
+    layers = _select_layers(len(trace.features), layers)
+    *attention, feature = [T.mean_axis(r, 0) for r in _sample_rows(trace, p, layers)]
+    return ClassStats(layers=layers, attention=attention, feature=feature)
+
+
+def target_stats(traces, p, layers=None):
+    """The constant real-side statistics of one class, from the
+    ForwardTraces of its batch's consecutive chunks (at least one; run them
+    under ``T.no_grad()``).
+
+    Only running sums are kept. Rows are added one sample at a time, in
+    sample order and starting from zero, then divided by the batch size
+    once. That is how ``mean_axis`` reduces rows of two or more elements, so
+    the result equals ``class_stats`` of the whole batch bit for bit (a
+    single column, e.g. a width-1 encoder's 1x1 feature, numpy sums
+    pairwise, which may round differently).
+    """
+    sums, count = None, 0
+    for trace in traces:
+        chosen = _select_layers(len(trace.features), layers)
+        rows = [r.data for r in _sample_rows(trace, p, chosen)]
+        sums = sums or [np.zeros_like(r[0]) for r in rows]
+        for total, r in zip(sums, rows):
+            for row in r:
+                total += row
+        count += len(rows[-1])
+    *attention, feature = [Tensor(total / count) for total in sums]
+    return ClassStats(layers=chosen, attention=attention, feature=feature)
 
 
 def sam_loss(real, syn):

@@ -72,7 +72,12 @@ def write_synthetic(path, syn, num_classes, manifest):
 
 
 def read_synthetic(path):
-    """Parse and validate a DDS1 file; returns (SyntheticSet, manifest dict)."""
+    """Parse and validate a DDS1 file; returns (SyntheticSet, manifest dict).
+
+    Besides the layout, it checks that the set is not empty, that every
+    pixel is finite, that the labels are class-major (``ipc`` of each class
+    in [0, K), in order) and that the manifest is a UTF-8 JSON object.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise SynFileError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
@@ -83,6 +88,8 @@ def read_synthetic(path):
         raise SynFileError(f"{path}: unsupported version {version}")
     if count != k * ipc:
         raise SynFileError(f"{path}: header count {count} != K {k} * ipc {ipc}")
+    if count == 0:
+        raise SynFileError(f"{path}: empty synthetic set (K {k}, ipc {ipc})")
     off = 4 + _HEADER.size
     pixel_bytes = count * c * h * w * 4
     if len(blob) < off + pixel_bytes + count * 2 + 4:
@@ -91,14 +98,26 @@ def read_synthetic(path):
             f"count {count} ({pixel_bytes} pixel bytes expected)")
     pixels = np.frombuffer(blob, dtype="<f4", count=count * c * h * w,
                            offset=off).reshape(count, c, h, w)
+    if not np.isfinite(pixels).all():
+        first = int(np.argwhere(~np.isfinite(pixels))[0, 0])
+        raise SynFileError(f"{path}: image {first} holds a non-finite pixel value")
     off += pixel_bytes
     labels = np.frombuffer(blob, dtype="<u2", count=count, offset=off).astype(np.int64)
+    if labels.max() >= k:
+        raise SynFileError(f"{path}: label {labels.max()} outside [0, {k})")
+    if not np.array_equal(labels, np.repeat(np.arange(k), ipc)):
+        raise SynFileError(f"{path}: labels are not class-major ({ipc} of each class in order)")
     off += count * 2
     (mlen,) = struct.unpack_from("<I", blob, off)
     off += 4
     if len(blob) != off + mlen:
         raise SynFileError(f"{path}: manifest length {mlen} inconsistent with file size")
-    manifest = json.loads(blob[off:off + mlen].decode("utf-8"))
+    try:
+        manifest = json.loads(blob[off:off + mlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SynFileError(f"{path}: manifest is not UTF-8 JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SynFileError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
     syn = SyntheticSet(images=Tensor(pixels.copy(), requires_grad=True),
                        labels=labels, ipc=ipc)
     return syn, manifest

@@ -251,6 +251,72 @@ def test_cmd_eval_corrupt_file_exits_1(tmp_path, capsys):
     assert "count" in capsys.readouterr().err
 
 
+def _bad_labels(labels):
+    def corrupt(path):
+        syn = small_syn()
+        syn.labels = np.asarray(labels)
+        write_synthetic(path, syn, 2, manifest_stub())
+    return corrupt
+
+
+def _nan_pixel(path):
+    syn = small_syn()
+    syn.images.data[1, 0, 2, 3] = np.nan
+    write_synthetic(path, syn, 2, manifest_stub())
+
+
+def _manifest_bytes(payload):
+    def corrupt(path):
+        write_synthetic(path, small_syn(), 2, manifest_stub())
+        # the file ends in the u32 manifest length and the manifest itself
+        head = path.read_bytes()[:-(len(manifest_stub().to_json()) + 4)]
+        path.write_bytes(head + struct.pack("<I", len(payload)) + payload)
+    return corrupt
+
+
+def _empty_set(path):
+    syn = SyntheticSet(images=Tensor(np.zeros((0, 1, 8, 8), np.float32)),
+                       labels=np.zeros(0, np.int64), ipc=2)
+    write_synthetic(path, syn, 0, manifest_stub())
+
+
+BAD_FILES = {
+    "empty-set": (_empty_set, "empty"),
+    "label-out-of-range": (_bad_labels([0, 0, 1, 2]), "outside"),
+    "labels-not-class-major": (_bad_labels([0, 1, 0, 1]), "class-major"),
+    "non-finite-pixel": (_nan_pixel, "non-finite"),
+    "manifest-not-utf8": (_manifest_bytes(b"\xff\xfe{}"), "manifest"),
+    "manifest-not-json": (_manifest_bytes(b"{seed: 1"), "manifest"),
+    "manifest-not-object": (_manifest_bytes(b"[1, 2]"), "manifest"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_synfile_rejects_bad_content(tmp_path, case):
+    corrupt, words = BAD_FILES[case]
+    path = tmp_path / "bad.dds"
+    corrupt(path)
+    with pytest.raises(SynFileError, match=words):
+        read_synthetic(path)
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_synfile_exits_1_with_one_error_line(tmp_path, capsys, case, command):
+    corrupt, words = BAD_FILES[case]
+    path = tmp_path / "bad.dds"
+    corrupt(path)
+    if command == "eval":
+        argv = ["eval", "--syn", str(path), "--dataset", "toy", "--models", "1",
+                "--epochs", "1"]
+    else:
+        argv = ["export", "--syn", str(path), "--out", str(tmp_path / "g.ppm")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+    assert not (tmp_path / "g.ppm").exists()
+
+
 # ---------------------------------------------------------------------------
 # export command
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attndistill import distill, losses
 from attndistill.data import ToySpec, gen_toy
-from attndistill.distill import (AugmentDraw, AugmentSpec, DistillConfig,
+from attndistill.distill import (AugmentDraw, AugmentSpec, DistillConfig, DistillError,
                                  apply_augment, distill_step, draw_augment,
                                  init_synthetic, k_center, make_state,
                                  run_distillation, siamese_augment)
@@ -224,6 +225,51 @@ def test_step_rejects_layers_outside_intermediate():
     train, enc = toy_setup()
     state = make_state(quick_config(layers=(enc.depth,)), enc, train)
     with pytest.raises(ValueError):
+        distill_step(state, 0)
+
+
+def test_no_attention_statistics_without_sam(monkeypatch):
+    train, enc = toy_setup()
+    pooled = []
+    original = losses.attention_pool
+
+    def spy(feature, p):
+        pooled.append(feature.shape)
+        return original(feature, p)
+
+    monkeypatch.setattr(losses, "attention_pool", spy)
+    state = make_state(quick_config(use_sam=False, lam=1.0), enc, train)
+    brk = distill_step(state, 0)
+    assert pooled == []
+    assert brk.l_sam == 0.0 and brk.per_layer == [0.0, 0.0] and brk.l_mmd > 0.0
+
+
+def test_real_batch_is_embedded_in_budgeted_chunks(monkeypatch):
+    # width 128 at 32 px: 128*32*32 elements per image, 8 images per chunk
+    train, _ = gen_toy(ToySpec(num_classes=2, images_per_class=20, image_size=32,
+                               noise_std=0.3, seed=0))
+    enc = EncoderConfig(depth=3, width=128, input_channels=1, input_size=32,
+                        num_classes=2)
+    calls = []
+    original = distill.forward
+
+    def spy(params, images):
+        out = original(params, images)
+        calls.append((images.data.shape[0], out.logits.requires_grad))
+        return out
+
+    monkeypatch.setattr(distill, "forward", spy)
+    state = make_state(quick_config(real_batch_per_class=20), enc, train)
+    distill_step(state, 0)
+    per_class = [(8, False), (8, False), (4, False), (1, True)]
+    assert calls == per_class * 2
+
+
+def test_class_without_real_images_is_named():
+    train, enc = toy_setup()
+    train = dataclasses.replace(train, per_class=[train.per_class[0], []])
+    state = make_state(quick_config(init="noise"), enc, train)
+    with pytest.raises(DistillError, match="class 1 has no real images"):
         distill_step(state, 0)
 
 

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from attndistill import benchmark, evaluation
+from attndistill import tensor as T
 from attndistill.data import DatasetIndex, ToySpec, gen_toy
 from attndistill.distill import init_synthetic
 from attndistill.encoder import EncoderConfig, forward, sample_params
@@ -73,6 +75,28 @@ def test_accuracy_invariant_to_ordering():
     shuffled = dataclasses.replace(
         test, images=Tensor(test.images.data[perm]), labels=test.labels[perm])
     assert accuracy_on(params, shuffled) == pytest.approx(base)
+
+
+def test_accuracy_scores_in_budgeted_chunks_with_unchanged_predictions(monkeypatch):
+    # 300 test images at width 8, 32 px: 8*32*32 elements each, 128 per chunk
+    _, test = gen_toy(ToySpec(num_classes=3, images_per_class=100, image_size=32,
+                              noise_std=1.0, seed=4))
+    enc = EncoderConfig(depth=3, width=8, input_channels=1, input_size=32, num_classes=3)
+    params = sample_params(enc, 5)
+    with T.no_grad():  # the former batching: one batch of up to 512 images
+        whole = forward(params, Tensor(test.images.data)).logits.data
+    chunks = []
+
+    def spy(params, images):
+        out = forward(params, images)
+        chunks.append(out.logits.data)
+        return out
+
+    monkeypatch.setattr(evaluation, "forward", spy)
+    acc = accuracy_on(params, test)
+    assert [len(c) for c in chunks] == [128, 128, 44]
+    assert np.array_equal(np.concatenate(chunks).argmax(axis=1), whole.argmax(axis=1))
+    assert acc == float((whole.argmax(axis=1) == test.labels).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -156,3 +180,22 @@ def test_report_config_echo():
     arr = np.asarray(report.accuracies)
     assert report.mean == pytest.approx(arr.mean())
     assert report.std == pytest.approx(arr.std())
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+
+def test_eval_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        benchmark.EVAL.num_models = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        EvalConfig().epochs = 3
+
+
+def test_benchmark_pipeline_takes_its_eval_config():
+    train, test = benchmark.load_benchmark_data()
+    quick = dataclasses.replace(benchmark.EVAL, num_models=2, epochs=1)
+    result = benchmark.run_pipeline("coreset", train, test, eval_config=quick)
+    assert len(result.accuracies) == 2
+    assert benchmark.EVAL.num_models == 5

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attndistill.encoder import EncoderConfig, ForwardTrace, forward, sample_params
-from attndistill.losses import attention_pool, class_stats, mmd_loss, sam_loss, total_loss
+from attndistill.losses import (attention_pool, class_stats, mmd_loss, sam_loss,
+                                target_stats, total_loss)
+from attndistill import tensor as T
 from attndistill.tensor import Tensor
 
 from oracles import fd_gradient, matching_loss, max_rel_err, naive_attention_pool
@@ -83,6 +85,36 @@ def test_class_stats_select_layers():
     assert stats_of(feats, layers=()).attention == []
     mean = feats[-1].reshape(3, -1).mean(axis=0)
     assert np.allclose(only2.feature.data, mean, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch,chunk,layers", [
+    (11, 4, None),   # the chunk size does not divide the batch
+    (11, 16, None),  # one chunk
+    (12, 5, (2,)),   # a subset of the layers
+])
+def test_target_stats_equal_full_batch_class_stats_bit_for_bit(dtype, batch, chunk, layers):
+    cfg = EncoderConfig(depth=3, width=6, input_channels=2, input_size=12, num_classes=2)
+    params = sample_params(cfg, 31, dtype=dtype)
+    rng = np.random.default_rng(32)
+    images = rng.normal(size=(batch, 2, 12, 12)).astype(dtype)
+    with T.no_grad():
+        whole = class_stats(forward(params, Tensor(images)), 4.0, layers)
+        chunked = target_stats((forward(params, Tensor(images[i:i + chunk]))
+                                for i in range(0, batch, chunk)), 4.0, layers)
+    assert chunked.layers == whole.layers == ([1, 2] if layers is None else [2])
+    got = chunked.attention + [chunked.feature]
+    want = whole.attention + [whole.feature]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.data.dtype == w.data.dtype == dtype
+        assert g.data.tobytes() == w.data.tobytes()
+
+
+def test_target_stats_rejects_last_layer():
+    feats = random_features(np.random.default_rng(33))
+    with pytest.raises(ValueError):
+        target_stats([trace_from(feats)], 4.0, layers=(3,))
 
 
 # ---------------------------------------------------------------------------
