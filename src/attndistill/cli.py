@@ -123,13 +123,21 @@ def _sha256_files(paths):
     return h.hexdigest()
 
 
-def _load_dataset(args, split, stats=None):
-    """Returns (DatasetIndex, identity dict). split: 'train' | 'test'."""
+def _dataset_format(args):
     fmt = args.format or ("toy" if args.dataset == "toy" else None)
     if fmt is None:
         raise ValueError("--format is required unless --dataset is 'toy'")
+    return fmt
+
+
+def _load_dataset(args, split, stats=None, toy=None):
+    """Returns (DatasetIndex, identity dict). split: 'train' | 'test'.
+
+    Toy data follows ``toy`` when given, else the --toy-* flags.
+    """
+    fmt = _dataset_format(args)
     if fmt == "toy":
-        spec = _toy_spec(args)
+        spec = toy or _toy_spec(args)
         train, test = data.gen_toy(spec)
         ident = {"path": "toy", "toy": asdict(spec),
                  "sha256": hashlib.sha256(
@@ -214,14 +222,13 @@ def cmd_eval(args):
     stats = None
     if "stats" in manifest:
         stats = (manifest["stats"]["mean"], manifest["stats"]["std"])
-    if args.format is None and args.dataset == "toy" and "toy" in manifest.get("dataset", {}):
-        toy = manifest["dataset"]["toy"]
-        args.toy_classes = toy["num_classes"]
-        args.toy_per_class = toy["images_per_class"]
-        args.toy_size = toy["image_size"]
-        args.toy_noise = toy["noise_std"]
-        args.toy_seed = toy["seed"]
-    test, _ = _load_dataset(args, "test", stats=stats)
+    toy = None
+    if _dataset_format(args) == "toy" and "toy" in manifest.get("dataset", {}):
+        toy = data.ToySpec(**manifest["dataset"]["toy"])
+    test, _ = _load_dataset(args, "test", stats=stats, toy=toy)
+    if test.num_classes != syn.num_classes:
+        raise ValueError(f"the test set has {test.num_classes} classes, "
+                         f"the synthetic set {syn.num_classes}")
     enc = manifest.get("encoder", {})
     count, c, h, w = syn.images.data.shape
     encoder_cfg = EncoderConfig(

@@ -46,10 +46,6 @@ class DatasetIndex:
     def image_shape(self):
         return self.images.data.shape[1:]
 
-    def denormalize(self, x):
-        """Invert the channel standardization (accepts (..., C, H, W))."""
-        return denormalize(x, self.mean, self.std)
-
 
 def denormalize(x, mean, std):
     """Undo channel standardization: x * std + mean per channel of (..., C, H, W)."""

@@ -218,10 +218,9 @@ class DistillState:
     dataset: DatasetIndex
     config: DistillConfig
     encoder: EncoderConfig
-    draw_log: list | None = None   # (iteration, class, AugmentDraw) when instrumented
 
 
-def make_state(config, encoder_cfg, dataset, dtype=np.float32, record_draws=False):
+def make_state(config, encoder_cfg, dataset, dtype=np.float32):
     syn = init_synthetic(dataset, config.ipc, config.init, config.seed, dtype=dtype)
     return DistillState(
         syn=syn,
@@ -229,7 +228,6 @@ def make_state(config, encoder_cfg, dataset, dtype=np.float32, record_draws=Fals
         dataset=dataset,
         config=config,
         encoder=encoder_cfg,
-        draw_log=[] if record_draws else None,
     )
 
 
@@ -263,8 +261,6 @@ def distill_step(state, iteration):
         pick = rng_batch.choice(idx, size=take, replace=False)
         real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
         draw = draw_augment(cfg.augment, h, w, rng_aug)
-        if state.draw_log is not None:
-            state.draw_log.append((iteration, cls, draw))
         real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
         with T.no_grad():
             target = losses.target_stats(

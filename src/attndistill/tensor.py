@@ -90,12 +90,28 @@ def _node(data, parents, op):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, owned=True):
+    """Add gradient ``g`` into ``t.grad``.
+
+    The first gradient a tensor receives becomes its ``.grad``. An ``owned``
+    array, one the backward closure has just allocated and nothing else
+    references, is adopted as it is. A gradient that is not owned, the
+    consumer's own ``.grad`` passed through or a view of it, is copied, so no
+    two tensors ever share a gradient buffer; so is a numpy scalar or an array
+    of another dtype than ``t``. A copy takes the memory layout of ``t.data``
+    (a broadcast gradient would otherwise keep its broadcast axis innermost).
+    Later gradients are added in place.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        if owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.empty_like(t.data)
+            np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _topo_order(root):
@@ -129,9 +145,7 @@ def backward(root):
     if not root.requires_grad:
         return
     order = _topo_order(root)
-    if root.grad is None:
-        root.grad = np.zeros_like(root.data)
-    root.grad += np.ones_like(root.data)
+    _accum(root, np.ones_like(root.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -153,8 +167,8 @@ def add(a, b):
     out = _node(a.data + b.data, (a, b), "add")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
+            _accum(a, g, owned=False)
+            _accum(b, g, owned=False)
         out._backward = bwd
     return out
 
@@ -164,7 +178,7 @@ def sub(a, b):
     out = _node(a.data - b.data, (a, b), "sub")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g)
+            _accum(a, g, owned=False)
             _accum(b, -g)
         out._backward = bwd
     return out
@@ -195,7 +209,7 @@ def sum_all(a):
     out = _node(a.data.sum(), (a,), "sum_all")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, np.broadcast_to(g, a.data.shape))
+            _accum(a, np.broadcast_to(g, a.data.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -204,7 +218,7 @@ def sum_axis(a, axis):
     out = _node(a.data.sum(axis=axis), (a,), "sum_axis")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -214,7 +228,8 @@ def mean_axis(a, axis):
     out = _node(a.data.mean(axis=axis), (a,), "mean_axis")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape))
+            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape),
+                   owned=False)
         out._backward = bwd
     return out
 
@@ -254,7 +269,7 @@ def reshape(a, shape):
     out = _node(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g.reshape(a.data.shape))
+            _accum(a, g.reshape(a.data.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -286,7 +301,7 @@ def flip_w(a):
     out = _node(a.data[..., ::-1].copy(), (a,), "flip_w")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g[..., ::-1])
+            _accum(a, g[..., ::-1], owned=False)
         out._backward = bwd
     return out
 
@@ -338,12 +353,33 @@ def relu(a):
     return out
 
 
+GROUP_BUDGET = 1 << 20
+"""Elements of the scratch buffers that ops fill one sample group at a time:
+the im2col columns of ``conv2d`` in forward and backward (unless it keeps
+them whole for the weight gradient) and a term of ``instance_norm``'s dX."""
+
+
+def _group_size(per_sample):
+    """Samples of ``per_sample`` scratch elements that fit GROUP_BUDGET, at least one."""
+    return max(1, GROUP_BUDGET // per_sample)
+
+
+def _tap_span(k, pad, size, out):
+    """Where kernel tap ``k`` of a stride-1 conv reads inside the input: the
+    output positions [o0, o1) and the input position o0 + k - pad they start at."""
+    o0 = max(0, pad - k)
+    o1 = min(out, size + pad - k)
+    return o0, o1, o0 + k - pad
+
+
 def conv2d(x, w, pad=1):
     """3x3 cross-correlation with zero padding, stride 1, no bias.
 
     x: (N, Cin, H, W), w: (Cout, Cin, 3, 3) -> (N, Cout, H, W) for pad=1.
     Implemented as im2col + one GEMM per sample: the column buffer is
-    (N, Cin*9, Ho*Wo), so ``W @ cols`` writes NCHW directly.
+    (N, Cin*9, Ho*Wo), so ``W @ cols`` writes NCHW directly. The columns are
+    built whole only when the weight gradient keeps them; otherwise, and for
+    the input gradient, in sample groups of at most GROUP_BUDGET elements.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: expected 4-D input/weight, got {x.data.shape}, {w.data.shape}")
@@ -354,32 +390,57 @@ def conv2d(x, w, pad=1):
             f"conv2d: input channels {x.data.shape[1]} != weight channels {w.data.shape[1]}")
     n, cin, h, wd = x.data.shape
     cout = w.data.shape[0]
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    ho, wo = hp - 2, wp - 2
-    xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
-    xp[:, :, pad:pad + h, pad:pad + wd] = x.data
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, Cin, ho, wo, 3, 3)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, cin * 9, ho * wo)
-    del xp, win  # free the padded copy before the GEMM allocates its output
-    wmat = w.data.reshape(cout, cin * 9)
-    y = np.matmul(wmat, cols)
+    ho, wo = h + 2 * pad - 2, wd + 2 * pad - 2
+    k = cin * 9
+    keep = _records((x, w)) and w.requires_grad  # only the weight gradient reads the columns
+    step = max(n, 1) if keep else _group_size(k * ho * wo)
+    xp = np.zeros((min(n, step), cin, h + 2 * pad, wd + 2 * pad), dtype=x.data.dtype)
+    cols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=x.data.dtype)
+    wmat = w.data.reshape(cout, k)
+    y = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, cols))
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        xp[:m, :, pad:pad + h, pad:pad + wd] = x.data[s:s + m]  # the border stays zero
+        win = sliding_window_view(xp[:m], (3, 3), axis=(2, 3))  # (m, Cin, ho, wo, 3, 3)
+        np.copyto(cols[:m], win.transpose(0, 1, 4, 5, 2, 3))
+        np.matmul(wmat, cols[:m].reshape(m, k, ho * wo), out=y[s:s + m])
+    del xp
     out = _node(y.reshape(n, cout, ho, wo), (x, w), "conv2d")
     if out.requires_grad:
-        wcols = cols if w.requires_grad else None  # only the weight gradient reads them
+        wcols = cols.reshape(n, k, ho * wo) if keep else None
+        del cols
 
         def bwd(g):
             gm = g.reshape(n, cout, ho * wo)
             if w.requires_grad:
                 _accum(w, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
             if x.requires_grad:
-                gcols = np.matmul(wmat.T, gm).reshape(n, cin, 3, 3, ho, wo)
-                gxp = np.zeros((n, cin, hp, wp), dtype=gcols.dtype)
-                for ki in range(3):
-                    for kj in range(3):
-                        gxp[:, :, ki:ki + ho, kj:kj + wo] += gcols[:, :, ki, kj]
-                _accum(x, gxp[:, :, pad:pad + h, pad:pad + wd])
+                _accum(x, _conv2d_input_grad(gm, wmat, x.data.shape, pad, ho, wo))
         out._backward = bwd
     return out
+
+
+def _conv2d_input_grad(gm, wmat, shape, pad, ho, wo):
+    """dX of ``conv2d`` from the output gradient gm: (N, Cout, Ho*Wo).
+
+    Per sample group, the columns W^T @ g are built and each of the nine taps
+    is added, clipped to the image, straight into the unpadded dX.
+    """
+    n, cin, h, wd = shape
+    step = _group_size(cin * 9 * ho * wo)
+    gcols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=np.result_type(wmat, gm))
+    dx = np.zeros(shape, dtype=gcols.dtype)
+    row_spans = [_tap_span(ki, pad, h, ho) for ki in range(3)]
+    col_spans = [_tap_span(kj, pad, wd, wo) for kj in range(3)]
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        gc = gcols[:m]
+        np.matmul(wmat.T, gm[s:s + m], out=gc.reshape(m, cin * 9, ho * wo))
+        dg = dx[s:s + m]
+        for ki, (r0, r1, i0) in enumerate(row_spans):
+            for kj, (c0, c1, j0) in enumerate(col_spans):
+                dg[:, :, i0:i0 + r1 - r0, j0:j0 + c1 - c0] += gc[:, :, ki, kj, r0:r1, c0:c1]
+    return dx
 
 
 def instance_norm(x, gamma, beta, eps=1e-5):
@@ -410,13 +471,30 @@ def instance_norm(x, gamma, beta, eps=1e-5):
             if beta.requires_grad:
                 _accum(beta, g3.sum(axis=(0, 2)))
             if x.requires_grad:
-                # d/dx = a * (g - mean(g) - xhat * mean(g * xhat)), xhat = xc * istd
-                gx = g3 * a[:, :, None]
-                gx -= (a * g3.sum(axis=2) / m)[:, :, None]
-                gx -= xc * (a * istd * istd * gxc / m)[:, :, None]
+                # d/dx = a * (g - mean(g) - xhat * mean(g * xhat)), xhat = xc * istd,
+                # formed in place one sample group at a time
+                s1 = a * g3.sum(axis=2) / m
+                s2 = a * istd * istd * gxc / m
+                gx = np.empty(g3.shape, dtype=np.result_type(g3, a))
+                step = _group_size(c * m)
+                xs2 = np.empty((min(n, step), c, m), dtype=gx.dtype)
+                for s in range(0, n, step):
+                    k = min(step, n - s)
+                    d = gx[s:s + k]
+                    np.multiply(g3[s:s + k], a[s:s + k, :, None], out=d)
+                    d -= s1[s:s + k, :, None]
+                    np.multiply(xc[s:s + k], s2[s:s + k, :, None], out=xs2[:k])
+                    d -= xs2[:k]
                 _accum(x, gx.reshape(n, c, h, w))
         out._backward = bwd
     return out
+
+
+def _axis_slice(ndim, axis, *s):
+    """Index selecting ``slice(*s)`` along ``axis`` of an ``ndim``-D array."""
+    idx = [slice(None)] * ndim
+    idx[axis] = slice(*s)
+    return tuple(idx)
 
 
 def _tap3_stride2(a, axis):
@@ -426,9 +504,7 @@ def _tap3_stride2(a, axis):
     half, keep = size // 2, -(-size // 2)
 
     def at(*s):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(*s)
-        return tuple(idx)
+        return _axis_slice(a.ndim, axis, *s)
 
     shape = list(a.shape)
     shape[axis] = keep
@@ -439,30 +515,46 @@ def _tap3_stride2(a, axis):
     return y
 
 
+def _tap3_stride2_adjoint(g, axis, size):
+    """Transpose of ``_tap3_stride2`` back to length ``size`` along ``axis``:
+    entry 2i is g[i], entry 2i+1 is g[i] + g[i+1], or g[i] alone at the end of
+    an even length."""
+    keep = g.shape[axis]
+
+    def at(*s):
+        return _axis_slice(g.ndim, axis, *s)
+
+    shape = list(g.shape)
+    shape[axis] = size
+    x = np.empty(shape, dtype=g.dtype)
+    x[at(0, None, 2)] = g
+    np.add(g[at(0, keep - 1)], g[at(1, None)], out=x[at(1, 2 * keep - 2, 2)])
+    if size % 2 == 0:
+        x[at(size - 1, None)] = g[at(keep - 1, None)]
+    return x
+
+
 def avgpool(x):
     """3x3 average pooling, stride 2, zero padding 1, fixed divisor 9.
 
     (N, C, H, W) -> (N, C, ceil(H/2), ceil(W/2)); requires H, W >= 2.
     The window sum is separable: a 3-tap sum over rows, then over columns.
+    The backward pass is its adjoint: the transposed sum over columns, then
+    over rows.
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"avgpool expects (N,C,H,W), got {x.data.shape}")
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     if h < 2 or w < 2:
         raise ShapeMismatch(f"avgpool requires spatial dims >= 2, got {h}x{w}")
     ninth = np.asarray(1.0 / 9.0, dtype=x.data.dtype)
     y = _tap3_stride2(_tap3_stride2(x.data, 2), 3)
     y *= ninth
-    ho, wo = y.shape[2], y.shape[3]
     out = _node(y, (x,), "avgpool")
     if out.requires_grad:
         def bwd(g):
-            gs = g * ninth
-            gxp = np.zeros((n, c, h + 2, w + 2), dtype=gs.dtype)
-            for ki in range(3):
-                for kj in range(3):
-                    gxp[:, :, ki:ki + 2 * ho - 1:2, kj:kj + 2 * wo - 1:2] += gs
-            _accum(x, gxp[:, :, 1:1 + h, 1:1 + w])
+            gs = _tap3_stride2_adjoint(g * ninth, 3, w)
+            _accum(x, _tap3_stride2_adjoint(gs, 2, h))
         out._backward = bwd
     return out
 

@@ -33,6 +33,25 @@ def naive_conv2d(x, w, pad=1):
     return out
 
 
+def naive_conv2d_input_grad(g, w, pad=1):
+    """Gradient of sum(g * naive_conv2d(x, w, pad)) with respect to x."""
+    n, cout, ho, wo = g.shape
+    _, cin, kh, kw = w.shape
+    h, wd = ho - 2 * pad + kh - 1, wo - 2 * pad + kw - 1
+    dx = np.zeros((n, cin, h, wd), dtype=np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    for ci in range(cin):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                ii, jj = i + ki - pad, j + kj - pad
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    dx[ni, ci, ii, jj] += g[ni, co, i, j] * w[co, ci, ki, kj]
+    return dx
+
+
 def naive_avgpool(x):
     """3x3 window, stride 2, zero pad 1, fixed divisor 9."""
     n, c, h, w = x.shape

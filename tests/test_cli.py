@@ -251,6 +251,30 @@ def test_cmd_eval_corrupt_file_exits_1(tmp_path, capsys):
     assert "count" in capsys.readouterr().err
 
 
+def test_cmd_eval_format_toy_scores_on_the_manifest_toy_spec(tmp_path):
+    out = tmp_path / "syn.dds"
+    assert run_cli(*toy_distill_args(out, **{"toy-seed": 5})) == 0
+    accuracies = []
+    for extra in ([], ["--format", "toy"]):
+        report = tmp_path / f"report{len(extra)}.json"
+        assert run_cli("eval", "--syn", str(out), "--dataset", "toy", *extra,
+                       "--models", "1", "--epochs", "2", "--batch-size", "4",
+                       "--no-aug", "--report", str(report)) == 0
+        accuracies.append(json.loads(report.read_text())["accuracies"])
+    assert accuracies[0] == accuracies[1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "toy"]])
+def test_cmd_eval_class_count_mismatch_exits_1(tmp_path, capsys, extra):
+    path = tmp_path / "syn.dds"
+    write_synthetic(path, small_syn(k=2), 2, manifest_stub())  # no toy spec recorded
+    code = run_cli("eval", "--syn", str(path), "--dataset", "toy", *extra,
+                   "--toy-classes", "3", "--models", "1", "--epochs", "1")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "classes" in err[0]
+
+
 def _bad_labels(labels):
     def corrupt(path):
         syn = small_syn()

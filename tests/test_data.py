@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from attndistill import data
 from attndistill.data import (FormatError, ToySpec, gen_toy, load_cifar10,
                               load_mnist, toy_templates)
 
@@ -70,7 +71,7 @@ def test_cifar_normalization_round_trip(tmp_path):
     recs = [(int(rng.integers(0, 10)), rng.integers(0, 256, size=3072).astype(np.uint8))
             for _ in range(4)]
     ds = load_cifar10(write_cifar(tmp_path / "b.bin", recs))
-    raw = ds.denormalize(ds.images.data)
+    raw = data.denormalize(ds.images.data, ds.mean, ds.std)
     renorm = (raw - ds.mean[None, :, None, None]) / ds.std[None, :, None, None]
     assert np.abs(renorm - ds.images.data).max() < 1e-6
 
@@ -129,7 +130,7 @@ def test_toy_zero_noise_equals_templates():
     spec = ToySpec(num_classes=3, images_per_class=4, image_size=8, noise_std=0.0, seed=5)
     train, _ = gen_toy(spec)
     templates = toy_templates(spec)
-    raw = train.denormalize(train.images.data)
+    raw = data.denormalize(train.images.data, train.mean, train.std)
     for i, lab in enumerate(train.labels):
         assert np.allclose(raw[i], templates[lab], atol=1e-5)
 
@@ -160,7 +161,7 @@ def test_toy_nearest_template_classifier_is_perfect():
     spec = ToySpec(num_classes=2, images_per_class=16, image_size=8, noise_std=0.1, seed=4)
     train, test = gen_toy(spec)
     templates = toy_templates(spec).reshape(spec.num_classes, -1)
-    raw = test.denormalize(test.images.data).reshape(test.labels.size, -1)
+    raw = data.denormalize(test.images.data, test.mean, test.std).reshape(test.labels.size, -1)
     dists = np.linalg.norm(raw[:, None, :] - templates[None], axis=2)
     assert np.array_equal(dists.argmin(axis=1), test.labels)
 

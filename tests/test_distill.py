@@ -273,14 +273,29 @@ def test_class_without_real_images_is_named():
         distill_step(state, 0)
 
 
-def test_siamese_property_instrumented():
+def test_siamese_property_instrumented(monkeypatch):
     train, enc = toy_setup()
-    state = make_state(quick_config(), enc, train, record_draws=True)
+    drawn, applied = [], []
+    draw_augment, apply_augment = distill.draw_augment, distill.apply_augment
+
+    def draw_spy(*args):
+        draw = draw_augment(*args)
+        drawn.append(draw)
+        return draw
+
+    def apply_spy(batch, spec, draw):
+        applied.append((id(draw), batch.data.shape[0]))
+        return apply_augment(batch, spec, draw)
+
+    monkeypatch.setattr(distill, "draw_augment", draw_spy)
+    monkeypatch.setattr(distill, "apply_augment", apply_spy)
+    state = make_state(quick_config(), enc, train)
     distill_step(state, 0)
     distill_step(state, 1)
-    # one draw per (iteration, class), shared across the pair by construction
-    keys = [(it, cls) for it, cls, _ in state.draw_log]
-    assert keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # one draw per (iteration, class), applied to the class's 8 real images
+    # and then to its 1 synthetic image
+    assert len(drawn) == 2 * 2
+    assert applied == [(id(d), n) for d in drawn for n in (8, 1)]
 
 
 def test_sink_receives_every_iteration():

@@ -10,7 +10,7 @@ from attndistill import tensor as T
 from attndistill.tensor import ShapeMismatch, Tensor, TensorError
 
 from oracles import (fd_gradient, max_rel_err, naive_avgpool, naive_conv2d,
-                     naive_instance_norm, naive_linear)
+                     naive_conv2d_input_grad, naive_instance_norm, naive_linear)
 
 
 def t64(a, grad=False):
@@ -195,6 +195,43 @@ def test_layer_ops_match_naive_loops_on_random_shapes():
         assert max_rel_err(y.data, naive_instance_norm(xs, gamma, beta)) < 1e-6, shape
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_grad", [False, True])
+@pytest.mark.parametrize("budget", [2 * 3 * 9 * 5 * 4, 2 * 4 * 5 * 4, 1])
+def test_sample_groups_match_one_group_bit_for_bit(monkeypatch, dtype, weight_grad, budget):
+    """5 samples under a scratch budget that splits them unevenly: conv2d
+    columns in groups of 2, 2, 1 (budget 1080); instance_norm's dX term in
+    groups of 2, 2, 1 with conv2d one sample at a time (budget 160); every op
+    one sample at a time (budget 1)."""
+    rng = np.random.default_rng(515)
+    x = rng.normal(size=(5, 3, 5, 4))
+    wt = rng.normal(size=(4, 3, 3, 3))
+    gamma, beta = rng.normal(size=4) + 1.5, rng.normal(size=4)
+    g = rng.normal(size=(5, 4, 5, 4))
+
+    def run():
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        wtt = Tensor(wt.astype(dtype), requires_grad=weight_grad)
+        conv = T.conv2d(xt, wtt)
+        y = T.instance_norm(conv, Tensor(gamma.astype(dtype)), Tensor(beta.astype(dtype)))
+        T.backward(T.add(T.sum_all(T.mul(conv, Tensor(g.astype(dtype)))),
+                         T.sum_all(T.mul(y, Tensor(g[::-1].astype(dtype))))))
+        return conv.data, y.data, xt.grad, wtt.grad
+
+    one_group = run()
+    monkeypatch.setattr(T, "GROUP_BUDGET", budget)
+    grouped = run()
+    for a, b in zip(one_group, grouped):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    if dtype == np.float64:
+        conv, y, dx, _ = grouped
+        assert max_rel_err(conv, naive_conv2d(x, wt)) < 1e-6
+        assert max_rel_err(y, naive_instance_norm(conv, gamma, beta)) < 1e-6
+        xt = t64(x, grad=True)
+        T.backward(T.sum_all(T.mul(T.conv2d(xt, t64(wt)), t64(g))))
+        assert max_rel_err(xt.grad, naive_conv2d_input_grad(g, wt)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # linear
 
@@ -283,6 +320,36 @@ def test_backward_is_linear_in_branches(values, c1, c2):
     x = t64(a, grad=True)
     T.backward(T.add(T.scale(T.sum_all(x), c1), T.scale(T.sum_all(x), c2)))
     assert np.allclose(x.grad, c1 + c2)
+
+
+@pytest.mark.parametrize("case", ["add", "sub", "reshape"])
+def test_tensor_consumed_twice_gets_the_sum_in_its_own_buffer(case):
+    rng = np.random.default_rng(31)
+    x = t64(rng.normal(size=(2, 3)), grad=True)
+    c = rng.normal(size=(2, 3))
+    g = rng.normal(size=(2, 3))
+    if case == "add":
+        out, expect = T.add(x, x), g + g
+    elif case == "sub":
+        out, expect = T.sub(x, x), np.zeros((2, 3))
+    else:
+        out = T.add(T.reshape(T.reshape(x, (6,)), (2, 3)), T.mul(x, t64(c)))
+        expect = g + g * c
+    root = T.sum_all(T.mul(out, t64(g)))
+    T.backward(root)
+    assert np.array_equal(x.grad, expect)
+    nodes = [node for node in T._topo_order(root) if node.grad is not None]
+    for i, a in enumerate(nodes):
+        assert a.grad.shape == a.data.shape and a.grad.dtype == a.data.dtype
+        for b in nodes[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_broadcast_gradient_takes_the_layout_of_its_tensor():
+    x = t64(np.random.default_rng(32).normal(size=(2, 3, 4, 5)), grad=True)
+    T.backward(T.sum_all(T.mul(T.sum_axis(x, 1), t64(np.ones((2, 4, 5))))))
+    assert x.grad.strides == x.data.strides
+    assert np.array_equal(x.grad, np.ones_like(x.data))
 
 
 def test_no_grad_suppresses_recording():
