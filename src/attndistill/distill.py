@@ -15,6 +15,7 @@ from . import losses, tensor as T
 from .data import DatasetIndex
 from .encoder import EncoderConfig, forward, sample_params
 from .losses import LossBreakdown
+from .synfile import SyntheticSet
 from .tensor import Tensor
 
 
@@ -91,22 +92,6 @@ class DistillConfig:
 
 # ---------------------------------------------------------------------------
 # synthetic set construction
-
-
-@dataclass
-class SyntheticSet:
-    """The learnable images plus their fixed class labels."""
-
-    images: Tensor            # (K * ipc, C, H, W), requires_grad
-    labels: np.ndarray        # (K * ipc,), class-major, never updated
-    ipc: int
-
-    @property
-    def num_classes(self):
-        return self.images.data.shape[0] // self.ipc
-
-    def class_slice(self, k):
-        return T.slice_rows(self.images, k * self.ipc, (k + 1) * self.ipc)
 
 
 def k_center(points, k):
@@ -237,7 +222,9 @@ def distill_step(state, iteration):
     Each class is matched against constant real-side targets, embedded in
     chunks with no graph, so its loss touches only its own slice of the
     synthetic images: its gradient is taken and its graph released before
-    the next class is embedded.
+    the next class is embedded. The class loop runs in one ``T.parallel``
+    block, sized by the synthetic batch of a class (a real chunk is never
+    larger); the pixel update after it does not.
     """
     cfg = state.config
     syn = state.syn
@@ -253,34 +240,35 @@ def distill_step(state, iteration):
     chunk = state.encoder.nograd_chunk()
     l_sam = l_mmd = zero.data
     per_layer = [0.0] * (state.encoder.depth - 1)
-    for cls in range(syn.num_classes):
-        idx = state.dataset.per_class[cls]
-        take = min(cfg.real_batch_per_class, len(idx))
-        if take == 0:
-            raise DistillError(f"class {cls} has no real images")
-        pick = rng_batch.choice(idx, size=take, replace=False)
-        real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
-        draw = draw_augment(cfg.augment, h, w, rng_aug)
-        real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
-        with T.no_grad():
-            target = losses.target_stats(
-                (forward(params, Tensor(real_a.data[i:i + chunk]))
-                 for i in range(0, take, chunk)),
-                cfg.p, layers)
-        stats = losses.class_stats(forward(params, syn_a), cfg.p, layers)
-        sam = mmd = zero
-        if cfg.use_sam:
-            sam, layer_terms = losses.sam_loss(target, stats)
-            for l, term in zip(target.layers, layer_terms):
-                per_layer[l - 1] += term
-        if cfg.use_mmd:
-            mmd = losses.mmd_loss(target, stats)
-        if not (np.isfinite(sam.data) and np.isfinite(mmd.data)):
-            syn.images.grad = None
-            raise DistillError(f"non-finite loss at iteration {iteration}, class {cls}")
-        T.backward(losses.total_loss(sam, mmd, cfg.lam))
-        l_sam = l_sam + sam.data
-        l_mmd = l_mmd + mmd.data
+    with T.parallel(cfg.ipc * state.encoder.width * h * w):  # a class's first activation
+        for cls in range(syn.num_classes):
+            idx = state.dataset.per_class[cls]
+            take = min(cfg.real_batch_per_class, len(idx))
+            if take == 0:
+                raise DistillError(f"class {cls} has no real images")
+            pick = rng_batch.choice(idx, size=take, replace=False)
+            real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
+            draw = draw_augment(cfg.augment, h, w, rng_aug)
+            real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
+            with T.no_grad():
+                target = losses.target_stats(
+                    (forward(params, Tensor(real_a.data[i:i + chunk]))
+                     for i in range(0, take, chunk)),
+                    cfg.p, layers)
+            stats = losses.class_stats(forward(params, syn_a), cfg.p, layers)
+            sam = mmd = zero
+            if cfg.use_sam:
+                sam, layer_terms = losses.sam_loss(target, stats)
+                for l, term in zip(target.layers, layer_terms):
+                    per_layer[l - 1] += term
+            if cfg.use_mmd:
+                mmd = losses.mmd_loss(target, stats)
+            if not (np.isfinite(sam.data) and np.isfinite(mmd.data)):
+                syn.images.grad = None
+                raise DistillError(f"non-finite loss at iteration {iteration}, class {cls}")
+            T.backward(losses.total_loss(sam, mmd, cfg.lam))
+            l_sam = l_sam + sam.data
+            l_mmd = l_mmd + mmd.data
 
     if syn.images.grad is None:
         syn.images.grad = np.zeros_like(syn.images.data)

@@ -125,7 +125,7 @@ def sample_params(config, seed, dtype=np.float32, trainable=False):
     )
 
 
-def forward(params, images, record_grad=True):
+def forward(params, images):
     """Run a batch through the encoder, returning the post-pool feature map of
     every block plus classifier logits."""
     cfg = params.config
@@ -134,9 +134,6 @@ def forward(params, images, record_grad=True):
         raise T.ShapeMismatch(
             f"forward: images {shape} incompatible with "
             f"{cfg.input_channels}x{cfg.input_size}x{cfg.input_size} encoder")
-    if not record_grad:
-        with T.no_grad():
-            return forward(params, images, record_grad=True)
     x = images
     features = []
     for blk in params.blocks:

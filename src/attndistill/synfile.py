@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import SyntheticSet
+from . import tensor as T
 from .tensor import Tensor
 
 MAGIC = b"DDS1"
@@ -24,6 +24,22 @@ _HEADER = struct.Struct("<7I")
 
 class SynFileError(ValueError):
     """Synthetic-set file violates a format invariant."""
+
+
+@dataclass
+class SyntheticSet:
+    """The learnable images plus their fixed class labels."""
+
+    images: Tensor            # (K * ipc, C, H, W), requires_grad
+    labels: np.ndarray        # (K * ipc,), class-major, never updated
+    ipc: int
+
+    @property
+    def num_classes(self):
+        return self.images.data.shape[0] // self.ipc
+
+    def class_slice(self, k):
+        return T.slice_rows(self.images, k * self.ipc, (k + 1) * self.ipc)
 
 
 @dataclass

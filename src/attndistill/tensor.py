@@ -8,6 +8,10 @@ same code path for tight gradient checking.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,19 +25,25 @@ class ShapeMismatch(TensorError):
     """Operand shapes incompatible with the operation's contract."""
 
 
-_grad_enabled = True
+class _ThreadModes(threading.local):
+    """Modes of the calling thread: graph recording and sample splitting."""
+
+    grad_enabled = True
+    split = False
+
+
+_modes = _ThreadModes()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block, on the calling thread only."""
+    saved = _modes.grad_enabled
+    _modes.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _modes.grad_enabled = saved
 
 
 class Tensor:
@@ -69,16 +79,13 @@ class Tensor:
             raise TensorError(f"item() requires a scalar, got shape {self.data.shape}")
         return float(self.data)
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
 
 
 def _records(parents):
     """Whether an op on ``parents`` records a graph node."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _modes.grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _node(data, parents, op):
@@ -239,13 +246,31 @@ def abs_pow(a, p):
     p = float(p)
     if p < 1:
         raise TensorError(f"abs_pow requires p >= 1, got {p}")
-    ax = np.abs(a.data)
-    out = _node(ax ** p, (a,), "abs_pow")
+    x = a.data
+    y = np.empty_like(x)
+    # Without a graph nothing reads |x| again, so the power overwrites it.
+    ax = np.empty_like(x) if _records((a,)) else y
+    _over_samples(_abs_pow_rows, x.size, SPLIT_FLOOR_ELEMENTWISE, (x, ax, y), p)
+    out = _node(y, (a,), "abs_pow")
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g * p * np.sign(a.data) * ax ** (p - 1))
+            gx = np.empty_like(x, dtype=np.result_type(g, x))
+            _over_samples(_abs_pow_grad_rows, x.size, SPLIT_FLOOR_ELEMENTWISE,
+                          (g, x, ax, gx), p)
+            _accum(a, gx)
         out._backward = bwd
     return out
+
+
+def _abs_pow_rows(x, ax, y, p):
+    np.abs(x, out=ax)
+    np.power(ax, p, out=y)
+
+
+def _abs_pow_grad_rows(g, x, ax, gx, p):
+    np.multiply(g, p, out=gx)
+    gx *= np.sign(x)
+    gx *= ax ** (p - 1)
 
 
 def l2_normalize_rows(a, eps=1e-8):
@@ -341,16 +366,7 @@ def apply_mask(a, mask):
 
 
 # ---------------------------------------------------------------------------
-# network layers
-
-
-def relu(a):
-    out = _node(np.maximum(a.data, 0), (a,), "relu")
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g * (a.data > 0))
-        out._backward = bwd
-    return out
+# scratch budget and sample splitting
 
 
 GROUP_BUDGET = 1 << 20
@@ -358,10 +374,140 @@ GROUP_BUDGET = 1 << 20
 the im2col columns of ``conv2d`` in forward and backward (unless it keeps
 them whole for the weight gradient) and a term of ``instance_norm``'s dX."""
 
+SPLIT_FLOOR_CONV = 1 << 21
+"""Im2col column elements up to which a ``conv2d`` forward or input gradient
+stays on the calling thread inside ``parallel()``."""
+
+SPLIT_FLOOR_ELEMENTWISE = 1 << 19
+"""Elements up to which ``instance_norm``, ``relu``, ``avgpool`` and
+``abs_pow`` stay on the calling thread inside ``parallel()``. Handing an op
+this small to another thread costs more than it saves; the toy benchmark's
+largest activation (64 images, width 32, 16 px) is exactly this size."""
+
+REGION_FLOOR = 1 << 22
+"""Elements of a block's largest activation up to which ``parallel()``
+changes nothing. Below it most split ops sit close to the floors above, so
+the hand-offs gain little, while every GEMM left unsplit loses its second
+BLAS thread: distill steps at ipc 10 (10 images, width 128, 32 px: 1.3M
+elements) ran slower inside a block than outside it, at ipc 50 (6.6M) a
+quarter faster."""
+
 
 def _group_size(per_sample):
     """Samples of ``per_sample`` scratch elements that fit GROUP_BUDGET, at least one."""
     return max(1, GROUP_BUDGET // per_sample)
+
+
+def _find_blas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, ()
+    put.restype, put.argtypes = None, (ctypes.c_int,)
+    return get, put
+
+
+_BLAS = _find_blas()
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # usable CPUs
+_pool = None  # the threads that run all parts but the first, made on first use
+_pool_lock = threading.Lock()
+
+
+class parallel:
+    """Block in which large ops split their samples over every usable CPU.
+
+    ``work`` is the element count of the largest activation the block's ops
+    produce. On entry numpy's bundled OpenBLAS is pinned to one thread, so
+    that the GEMMs of concurrent parts do not compete with each other for
+    the cores, and the calling thread's ops start splitting
+    (``_over_samples``). On exit, also by an exception, the previous thread
+    count and mode return. With ``work`` of at most REGION_FLOOR, without
+    that BLAS symbol or with one usable CPU, the block changes nothing.
+    Every op is still entered and left on the calling thread.
+    """
+
+    def __init__(self, work):
+        self.work = work
+
+    def __enter__(self):
+        self._saved = None
+        if _BLAS is not None and _WORKERS > 1 and self.work > REGION_FLOOR:
+            get, put = _BLAS
+            self._saved = (put, get(), _modes.split)
+            put(1)
+            _modes.split = True
+        return self
+
+    def __exit__(self, *exc):
+        if self._saved is not None:
+            put, threads, _modes.split = self._saved
+            put(threads)
+        return False
+
+
+def _over_samples(fn, work, floor, rows, *args):
+    """Call ``fn(*rows, *args)``; ``rows`` are arrays with one entry per sample
+    along their first axis.
+
+    Inside ``parallel()``, with more than ``floor`` elements of ``work``, the
+    samples are cut into one contiguous range per usable CPU, and ``fn``
+    runs on each range's slices of ``rows`` at the same time, the calling
+    thread taking the first. Otherwise it is one call on the whole arrays. A
+    part runs numpy only and writes its own samples of arrays the op
+    allocated before; the op keeps every reduction across samples. An error
+    in a part is raised once every part has finished.
+    """
+    global _pool
+    if not _modes.split or work <= floor or rows[0].ndim == 0:
+        return fn(*rows, *args)
+    n = len(rows[0])
+    parts = min(_WORKERS, n)
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tensor-part")
+    cuts = [n * i // parts for i in range(parts + 1)]
+
+    def part(i):
+        return fn(*(r[cuts[i]:cuts[i + 1]] for r in rows), *args)
+    rest = [_pool.submit(part, i) for i in range(1, parts)]
+    try:
+        part(0)
+    finally:
+        errors = [f.exception() for f in rest]  # waits for every part
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+# ---------------------------------------------------------------------------
+# network layers
+
+
+def relu(a):
+    x = a.data
+    y = np.empty_like(x)
+    _over_samples(_relu_rows, x.size, SPLIT_FLOOR_ELEMENTWISE, (x, y))
+    out = _node(y, (a,), "relu")
+    if out.requires_grad:
+        def bwd(g):
+            gx = np.empty_like(x, dtype=g.dtype)
+            _over_samples(_relu_grad_rows, x.size, SPLIT_FLOOR_ELEMENTWISE, (g, x, gx))
+            _accum(a, gx)
+        out._backward = bwd
+    return out
+
+
+def _relu_rows(x, y):
+    np.maximum(x, 0, out=y)
+
+
+def _relu_grad_rows(g, x, gx):
+    np.multiply(g, x > 0, out=gx)
 
 
 def _tap_span(k, pad, size, out):
@@ -394,21 +540,16 @@ def conv2d(x, w, pad=1):
     k = cin * 9
     keep = _records((x, w)) and w.requires_grad  # only the weight gradient reads the columns
     step = max(n, 1) if keep else _group_size(k * ho * wo)
-    xp = np.zeros((min(n, step), cin, h + 2 * pad, wd + 2 * pad), dtype=x.data.dtype)
-    cols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=x.data.dtype)
     wmat = w.data.reshape(cout, k)
-    y = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, cols))
-    for s in range(0, n, step):
-        m = min(step, n - s)
-        xp[:m, :, pad:pad + h, pad:pad + wd] = x.data[s:s + m]  # the border stays zero
-        win = sliding_window_view(xp[:m], (3, 3), axis=(2, 3))  # (m, Cin, ho, wo, 3, 3)
-        np.copyto(cols[:m], win.transpose(0, 1, 4, 5, 2, 3))
-        np.matmul(wmat, cols[:m].reshape(m, k, ho * wo), out=y[s:s + m])
-    del xp
+    y = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
+    if keep:
+        cols = _conv2d_rows(x.data, y, wmat, pad, step)
+    else:
+        _over_samples(_conv2d_rows, n * k * ho * wo, SPLIT_FLOOR_CONV, (x.data, y),
+                      wmat, pad, step)
     out = _node(y.reshape(n, cout, ho, wo), (x, w), "conv2d")
     if out.requires_grad:
         wcols = cols.reshape(n, k, ho * wo) if keep else None
-        del cols
 
         def bwd(g):
             gm = g.reshape(n, cout, ho * wo)
@@ -420,16 +561,40 @@ def conv2d(x, w, pad=1):
     return out
 
 
+def _conv2d_rows(x, y, wmat, pad, step):
+    """``y = W @ cols(x)`` in sample groups of ``step``, with its own padded
+    input and column buffers; returns the columns of the last group."""
+    n, cin, h, wd = x.shape
+    ho, wo = h + 2 * pad - 2, wd + 2 * pad - 2
+    k = cin * 9
+    xp = np.zeros((min(n, step), cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    cols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=x.dtype)
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        xp[:m, :, pad:pad + h, pad:pad + wd] = x[s:s + m]  # the border stays zero
+        win = sliding_window_view(xp[:m], (3, 3), axis=(2, 3))  # (m, Cin, ho, wo, 3, 3)
+        np.copyto(cols[:m], win.transpose(0, 1, 4, 5, 2, 3))
+        np.matmul(wmat, cols[:m].reshape(m, k, ho * wo), out=y[s:s + m])
+    return cols
+
+
 def _conv2d_input_grad(gm, wmat, shape, pad, ho, wo):
     """dX of ``conv2d`` from the output gradient gm: (N, Cout, Ho*Wo).
 
     Per sample group, the columns W^T @ g are built and each of the nine taps
     is added, clipped to the image, straight into the unpadded dX.
     """
-    n, cin, h, wd = shape
+    n, cin = shape[:2]
+    dx = np.zeros(shape, dtype=np.result_type(wmat, gm))
+    _over_samples(_conv2d_input_grad_rows, n * cin * 9 * ho * wo, SPLIT_FLOOR_CONV,
+                  (gm, dx), wmat, pad, ho, wo)
+    return dx
+
+
+def _conv2d_input_grad_rows(gm, dx, wmat, pad, ho, wo):
+    n, cin, h, wd = dx.shape
     step = _group_size(cin * 9 * ho * wo)
-    gcols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=np.result_type(wmat, gm))
-    dx = np.zeros(shape, dtype=gcols.dtype)
+    gcols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=dx.dtype)
     row_spans = [_tap_span(ki, pad, h, ho) for ki in range(3)]
     col_spans = [_tap_span(kj, pad, wd, wo) for kj in range(3)]
     for s in range(0, n, step):
@@ -440,7 +605,6 @@ def _conv2d_input_grad(gm, wmat, shape, pad, ho, wo):
         for ki, (r0, r1, i0) in enumerate(row_spans):
             for kj, (c0, c1, j0) in enumerate(col_spans):
                 dg[:, :, i0:i0 + r1 - r0, j0:j0 + c1 - c0] += gc[:, :, ki, kj, r0:r1, c0:c1]
-    return dx
 
 
 def instance_norm(x, gamma, beta, eps=1e-5):
@@ -453,41 +617,61 @@ def instance_norm(x, gamma, beta, eps=1e-5):
             f"instance_norm: affine shapes {gamma.data.shape}, {beta.data.shape} != ({c},)")
     m = h * w
     x3 = x.data.reshape(n, c, m)
-    xc = x3 - x3.mean(axis=2, keepdims=True)
-    var = np.einsum("ncp,ncp->nc", xc, xc) / m
-    istd = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    a = gamma.data * istd  # (N, C): the per-plane factor applied to xc
-    record = _records((x, gamma, beta))
+    eps = np.asarray(eps, dtype=x.data.dtype)
+    xc = np.empty_like(x3)
+    istd = np.empty((n, c), dtype=x.data.dtype)
+    a = np.empty((n, c), dtype=np.result_type(gamma.data, istd))  # the factor applied to xc
     # Without a graph nothing reads xc again, so the output overwrites it.
-    y = np.multiply(xc, a[:, :, None], out=None if record else xc)
-    y += beta.data[:, None]
+    y = np.empty(x3.shape, dtype=np.result_type(xc, a)) if _records((x, gamma, beta)) else xc
+    _over_samples(_instance_norm_rows, x3.size, SPLIT_FLOOR_ELEMENTWISE,
+                  (x3, xc, istd, a, y), gamma.data, beta.data, eps)
     out = _node(y.reshape(n, c, h, w), (x, gamma, beta), "instance_norm")
     if out.requires_grad:
         def bwd(g):
             g3 = g.reshape(n, c, m)
-            gxc = np.einsum("ncp,ncp->nc", g3, xc)  # sum of g * xc per plane
+            gxc = np.empty((n, c), dtype=np.result_type(g3, xc))  # sum of g * xc per plane
+            rows = (g3, xc, istd, a, gxc)
+            if x.requires_grad:
+                gx = np.empty(g3.shape, dtype=np.result_type(g3, a))
+                rows += (gx,)
+            _over_samples(_instance_norm_grad_rows, g3.size, SPLIT_FLOOR_ELEMENTWISE, rows)
             if gamma.requires_grad:
                 _accum(gamma, (gxc * istd).sum(axis=0))
             if beta.requires_grad:
                 _accum(beta, g3.sum(axis=(0, 2)))
             if x.requires_grad:
-                # d/dx = a * (g - mean(g) - xhat * mean(g * xhat)), xhat = xc * istd,
-                # formed in place one sample group at a time
-                s1 = a * g3.sum(axis=2) / m
-                s2 = a * istd * istd * gxc / m
-                gx = np.empty(g3.shape, dtype=np.result_type(g3, a))
-                step = _group_size(c * m)
-                xs2 = np.empty((min(n, step), c, m), dtype=gx.dtype)
-                for s in range(0, n, step):
-                    k = min(step, n - s)
-                    d = gx[s:s + k]
-                    np.multiply(g3[s:s + k], a[s:s + k, :, None], out=d)
-                    d -= s1[s:s + k, :, None]
-                    np.multiply(xc[s:s + k], s2[s:s + k, :, None], out=xs2[:k])
-                    d -= xs2[:k]
                 _accum(x, gx.reshape(n, c, h, w))
         out._backward = bwd
     return out
+
+
+def _instance_norm_rows(x3, xc, istd, a, y, gamma, beta, eps):
+    np.subtract(x3, x3.mean(axis=2, keepdims=True), out=xc)
+    var = np.einsum("ncp,ncp->nc", xc, xc) / x3.shape[2]
+    np.divide(1.0, np.sqrt(var + eps), out=istd)
+    np.multiply(gamma, istd, out=a)
+    np.multiply(xc, a[:, :, None], out=y)
+    y += beta[:, None]
+
+
+def _instance_norm_grad_rows(g3, xc, istd, a, gxc, gx=None):
+    gxc[...] = np.einsum("ncp,ncp->nc", g3, xc)  # out= would cost more than this copy
+    if gx is None:
+        return
+    # d/dx = a * (g - mean(g) - xhat * mean(g * xhat)), xhat = xc * istd,
+    # formed in place one sample group at a time
+    n, c, m = g3.shape
+    s1 = a * g3.sum(axis=2) / m
+    s2 = a * istd * istd * gxc / m
+    step = _group_size(c * m)
+    xs2 = np.empty((min(n, step), c, m), dtype=gx.dtype)
+    for s in range(0, n, step):
+        k = min(step, n - s)
+        d = gx[s:s + k]
+        np.multiply(g3[s:s + k], a[s:s + k, :, None], out=d)
+        d -= s1[s:s + k, :, None]
+        np.multiply(xc[s:s + k], s2[s:s + k, :, None], out=xs2[:k])
+        d -= xs2[:k]
 
 
 def _axis_slice(ndim, axis, *s):
@@ -497,7 +681,7 @@ def _axis_slice(ndim, axis, *s):
     return tuple(idx)
 
 
-def _tap3_stride2(a, axis):
+def _tap3_stride2(a, axis, out=None):
     """Zero-padded 3-tap sums at stride 2 along ``axis``: entry i of the
     result is a[2i-1] + a[2i] + a[2i+1], and the length halves rounding up."""
     size = a.shape[axis]
@@ -508,14 +692,14 @@ def _tap3_stride2(a, axis):
 
     shape = list(a.shape)
     shape[axis] = keep
-    y = np.empty(shape, dtype=a.dtype)
+    y = np.empty(shape, dtype=a.dtype) if out is None else out
     np.add(a[at(0, 2 * half, 2)], a[at(1, None, 2)], out=y[at(0, half)])
     y[at(half, None)] = a[at(2 * half, None)]  # odd length: the last entry has no right tap
     y[at(1, None)] += a[at(1, 2 * keep - 2, 2)]
     return y
 
 
-def _tap3_stride2_adjoint(g, axis, size):
+def _tap3_stride2_adjoint(g, axis, size, out=None):
     """Transpose of ``_tap3_stride2`` back to length ``size`` along ``axis``:
     entry 2i is g[i], entry 2i+1 is g[i] + g[i+1], or g[i] alone at the end of
     an even length."""
@@ -526,7 +710,7 @@ def _tap3_stride2_adjoint(g, axis, size):
 
     shape = list(g.shape)
     shape[axis] = size
-    x = np.empty(shape, dtype=g.dtype)
+    x = np.empty(shape, dtype=g.dtype) if out is None else out
     x[at(0, None, 2)] = g
     np.add(g[at(0, keep - 1)], g[at(1, None)], out=x[at(1, 2 * keep - 2, 2)])
     if size % 2 == 0:
@@ -544,19 +728,31 @@ def avgpool(x):
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"avgpool expects (N,C,H,W), got {x.data.shape}")
-    h, w = x.data.shape[2:]
+    n, c, h, w = x.data.shape
     if h < 2 or w < 2:
         raise ShapeMismatch(f"avgpool requires spatial dims >= 2, got {h}x{w}")
     ninth = np.asarray(1.0 / 9.0, dtype=x.data.dtype)
-    y = _tap3_stride2(_tap3_stride2(x.data, 2), 3)
-    y *= ninth
+    y = np.empty((n, c, -(-h // 2), -(-w // 2)), dtype=x.data.dtype)
+    _over_samples(_avgpool_rows, x.data.size, SPLIT_FLOOR_ELEMENTWISE, (x.data, y), ninth)
     out = _node(y, (x,), "avgpool")
     if out.requires_grad:
         def bwd(g):
-            gs = _tap3_stride2_adjoint(g * ninth, 3, w)
-            _accum(x, _tap3_stride2_adjoint(gs, 2, h))
+            gx = np.empty(x.data.shape, dtype=np.result_type(g, ninth))
+            _over_samples(_avgpool_grad_rows, x.data.size, SPLIT_FLOOR_ELEMENTWISE,
+                          (g, gx), ninth)
+            _accum(x, gx)
         out._backward = bwd
     return out
+
+
+def _avgpool_rows(x, y, ninth):
+    _tap3_stride2(_tap3_stride2(x, 2), 3, out=y)
+    y *= ninth
+
+
+def _avgpool_grad_rows(g, gx, ninth):
+    h, w = gx.shape[2:]
+    _tap3_stride2_adjoint(_tap3_stride2_adjoint(g * ninth, 3, w), 2, h, out=gx)
 
 
 def linear(x, w, b):

@@ -117,7 +117,8 @@ def test_record_grad_false_detaches_images():
     params = sample_params(cfg, 13)
     x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 8, 8)).astype(np.float32),
                requires_grad=True)
-    trace = forward(params, x, record_grad=False)
+    with T.no_grad():
+        trace = forward(params, x)
     assert not trace.logits.requires_grad
     T.backward(T.sum_all(trace.logits))
     assert x.grad is None
@@ -128,7 +129,8 @@ def test_forward_values_do_not_depend_on_grad_mode(dtype):
     cfg = small_cfg(width=12)
     params = sample_params(cfg, 17, dtype=dtype)
     x0 = np.random.default_rng(18).normal(size=(4, 1, 8, 8)).astype(dtype)
-    plain = forward(params, Tensor(x0), record_grad=False)
+    with T.no_grad():
+        plain = forward(params, Tensor(x0))
     syn = Tensor(x0.copy(), requires_grad=True)
     graph = forward(params, T.slice_rows(syn, 0, 4))
     assert graph.logits.requires_grad and not plain.logits.requires_grad

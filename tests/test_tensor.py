@@ -1,3 +1,4 @@
+import threading
 import zlib
 
 import numpy as np
@@ -492,3 +493,53 @@ def test_ops_are_deterministic():
     y1, g1 = run()
     y2, g2 = run()
     assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# grad mode and the elementwise power
+
+
+def test_no_grad_in_another_thread_leaves_this_thread_recording():
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with T.no_grad():
+            inside.set()
+            release.wait(10)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert inside.wait(10)
+        x = t64([1.0, -2.0], grad=True)
+        y = T.sum_all(T.mul(x, x))
+        assert y.requires_grad
+        T.backward(y)
+        assert np.array_equal(x.grad, [2.0, -4.0])
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_abs_pow_equals_the_power_operator_bit_for_bit(p, dtype):
+    rng = np.random.default_rng(31)
+    x0 = rng.normal(size=(3, 4, 5)).astype(dtype)
+    x0[0, 0, :2] = 0.0
+    g = rng.normal(size=x0.shape).astype(dtype)
+    x = Tensor(x0, requires_grad=True)
+    y = T.abs_pow(x, p)
+    T.backward(T.sum_all(T.mul(y, Tensor(g))))
+    assert np.array_equal(y.data, np.abs(x0) ** p)
+    assert np.array_equal(x.grad, g * p * np.sign(x0) * np.abs(x0) ** (p - 1))
+    with T.no_grad():
+        assert np.array_equal(T.abs_pow(Tensor(x0), p).data, np.abs(x0) ** p)
+
+
+def test_relu_and_abs_pow_of_a_scalar():
+    x = t64(-1.5, grad=True)
+    T.backward(T.add(T.relu(x), T.abs_pow(x, 2.0)))
+    assert x.grad.shape == () and x.grad == -3.0
+    assert T.relu(t64(2.0)).data == 2.0 and T.abs_pow(t64(-2.0), 3.0).data == 8.0
