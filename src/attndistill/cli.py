@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .distill import AugmentSpec, DistillConfig, run_distillation
+from .augment import AugmentSpec
+from .distill import DistillConfig, run_distillation
 from .encoder import EncoderConfig, default_depth
 from .evaluation import EvalConfig, evaluate_synthetic
 from .synfile import RunManifest, read_synthetic, write_synthetic

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses, tensor as T
+from .augment import AugmentSpec, draw_augment, siamese_augment
 from .data import DatasetIndex
 from .encoder import EncoderConfig, forward, sample_params
 from .losses import LossBreakdown
@@ -30,36 +31,6 @@ def _derive_seeds(*key, count=1):
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Differentiable transforms applied identically to both batches of a
-    class within one step (flip / shift-crop / cutout subset)."""
-
-    flip: bool = True
-    crop: bool = True
-    cutout: bool = True
-    flip_prob: float = 0.5
-    crop_pad_ratio: float = 0.125
-    cutout_ratio: float = 0.5
-
-    @classmethod
-    def none(cls):
-        return cls(flip=False, crop=False, cutout=False)
-
-    @property
-    def enabled(self):
-        return self.flip or self.crop or self.cutout
-
-
-@dataclass(frozen=True)
-class AugmentDraw:
-    do_flip: bool = False
-    dy: int = 0
-    dx: int = 0
-    cut_y: int = 0
-    cut_x: int = 0
 
 
 @dataclass
@@ -141,55 +112,6 @@ def init_synthetic(dataset, ipc, strategy, seed, dtype=np.float32):
             images[cls * ipc:(cls + 1) * ipc] = dataset.images.data[pick]
     labels = np.repeat(np.arange(k), ipc)
     return SyntheticSet(images=Tensor(images, requires_grad=True), labels=labels, ipc=ipc)
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-def draw_augment(spec, height, width, rng):
-    """One shared random draw for a (real, synthetic) batch pair."""
-    do_flip = bool(spec.flip and rng.random() < spec.flip_prob)
-    dy = dx = 0
-    if spec.crop:
-        pad = round(spec.crop_pad_ratio * height)
-        dy = int(rng.integers(-pad, pad + 1))
-        dx = int(rng.integers(-pad, pad + 1))
-    cut_y = cut_x = 0
-    if spec.cutout:
-        side = round(spec.cutout_ratio * height)
-        cut_y = int(rng.integers(0, height - side + 1))
-        cut_x = int(rng.integers(0, width - side + 1))
-    return AugmentDraw(do_flip=do_flip, dy=dy, dx=dx, cut_y=cut_y, cut_x=cut_x)
-
-
-def apply_augment(batch, spec, draw):
-    """Apply one draw to a batch; mirror and shift are index permutations,
-    cutout multiplies by a zero mask, so gradients pass through."""
-    x = batch
-    if spec.flip and draw.do_flip:
-        x = T.flip_w(x)
-    if spec.crop and (draw.dy or draw.dx):
-        x = T.shift2d(x, draw.dy, draw.dx)
-    if spec.cutout:
-        h, w = x.data.shape[2], x.data.shape[3]
-        side = round(spec.cutout_ratio * h)
-        if side > 0:
-            mask = np.ones((h, w), dtype=x.data.dtype)
-            mask[draw.cut_y:draw.cut_y + side, draw.cut_x:draw.cut_x + side] = 0.0
-            x = T.apply_mask(x, mask)
-    return x
-
-
-def siamese_augment(real_batch, syn_batch, spec, draw):
-    """Apply the same draw to both batches of a class."""
-    if real_batch.data.shape[2:] != syn_batch.data.shape[2:]:
-        raise T.ShapeMismatch(
-            f"siamese_augment: spatial dims {real_batch.data.shape[2:]} "
-            f"vs {syn_batch.data.shape[2:]}")
-    if not spec.enabled:
-        return real_batch, syn_batch
-    return apply_augment(real_batch, spec, draw), apply_augment(syn_batch, spec, draw)
 
 
 # ---------------------------------------------------------------------------

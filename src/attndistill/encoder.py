@@ -80,8 +80,7 @@ class EncoderParams:
     blocks: list[BlockParams]
     fc_w: Tensor
     fc_b: Tensor
-    seed: int
-    config: EncoderConfig = field(repr=False, default=None)
+    config: EncoderConfig = field(repr=False)
 
     def parameters(self):
         for blk in self.blocks:
@@ -120,7 +119,6 @@ def sample_params(config, seed, dtype=np.float32, trainable=False):
         blocks=blocks,
         fc_w=Tensor(fc_w, requires_grad=trainable),
         fc_b=Tensor(np.zeros(config.num_classes, dtype=dtype), requires_grad=trainable),
-        seed=seed,
         config=config,
     )
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .distill import AugmentSpec, apply_augment, draw_augment
+from .augment import AugmentSpec, apply_augment, draw_augment
 from .encoder import forward, sample_params
 from .tensor import Tensor
 

@@ -60,14 +60,10 @@ class RunManifest:
     duration_sec: float | None = None
     eval: dict = field(default_factory=dict)
 
-    def to_dict(self, include_duration=False):
+    def to_dict(self):
         d = asdict(self)
-        if not include_duration:
-            d["duration_sec"] = None
+        d["duration_sec"] = None
         return d
-
-    def to_json(self, include_duration=False):
-        return json.dumps(self.to_dict(include_duration), sort_keys=True)
 
 
 def write_synthetic(path, syn, num_classes, manifest):

@@ -250,13 +250,12 @@ def abs_pow(a, p):
     y = np.empty_like(x)
     # Without a graph nothing reads |x| again, so the power overwrites it.
     ax = np.empty_like(x) if _records((a,)) else y
-    _over_samples(_abs_pow_rows, x.size, SPLIT_FLOOR_ELEMENTWISE, (x, ax, y), p)
+    _over_samples(_abs_pow_rows, (x, ax, y), p)
     out = _node(y, (a,), "abs_pow")
     if out.requires_grad:
         def bwd(g):
             gx = np.empty_like(x, dtype=np.result_type(g, x))
-            _over_samples(_abs_pow_grad_rows, x.size, SPLIT_FLOOR_ELEMENTWISE,
-                          (g, x, ax, gx), p)
+            _over_samples(_abs_pow_grad_rows, (g, x, ax, gx), p)
             _accum(a, gx)
         out._backward = bwd
     return out
@@ -374,21 +373,11 @@ GROUP_BUDGET = 1 << 20
 the im2col columns of ``conv2d`` in forward and backward (unless it keeps
 them whole for the weight gradient) and a term of ``instance_norm``'s dX."""
 
-SPLIT_FLOOR_CONV = 1 << 21
-"""Im2col column elements up to which a ``conv2d`` forward or input gradient
-stays on the calling thread inside ``parallel()``."""
-
-SPLIT_FLOOR_ELEMENTWISE = 1 << 19
-"""Elements up to which ``instance_norm``, ``relu``, ``avgpool`` and
-``abs_pow`` stay on the calling thread inside ``parallel()``. Handing an op
-this small to another thread costs more than it saves; the toy benchmark's
-largest activation (64 images, width 32, 16 px) is exactly this size."""
-
 REGION_FLOOR = 1 << 22
 """Elements of a block's largest activation up to which ``parallel()``
-changes nothing. Below it most split ops sit close to the floors above, so
-the hand-offs gain little, while every GEMM left unsplit loses its second
-BLAS thread: distill steps at ipc 10 (10 images, width 128, 32 px: 1.3M
+changes nothing. It is the only size that decides whether ops split: below
+it the hand-offs gain little, while every GEMM left unsplit loses its second
+BLAS thread. Distill steps at ipc 10 (10 images, width 128, 32 px: 1.3M
 elements) ran slower inside a block than outside it, at ipc 50 (6.6M) a
 quarter faster."""
 
@@ -419,7 +408,7 @@ _pool_lock = threading.Lock()
 
 
 class parallel:
-    """Block in which large ops split their samples over every usable CPU.
+    """Block in which ops split their samples over every usable CPU.
 
     ``work`` is the element count of the largest activation the block's ops
     produce. On entry numpy's bundled OpenBLAS is pinned to one thread, so
@@ -450,20 +439,20 @@ class parallel:
         return False
 
 
-def _over_samples(fn, work, floor, rows, *args):
+def _over_samples(fn, rows, *args):
     """Call ``fn(*rows, *args)``; ``rows`` are arrays with one entry per sample
     along their first axis.
 
-    Inside ``parallel()``, with more than ``floor`` elements of ``work``, the
-    samples are cut into one contiguous range per usable CPU, and ``fn``
-    runs on each range's slices of ``rows`` at the same time, the calling
-    thread taking the first. Otherwise it is one call on the whole arrays. A
-    part runs numpy only and writes its own samples of arrays the op
-    allocated before; the op keeps every reduction across samples. An error
-    in a part is raised once every part has finished.
+    Inside ``parallel()``, with at least two samples, the samples are cut
+    into one contiguous range per usable CPU, and ``fn`` runs on each range's
+    slices of ``rows`` at the same time, the calling thread taking the first.
+    Otherwise it is one call on the whole arrays. A part runs numpy only and
+    writes its own samples of arrays the op allocated before; the op keeps
+    every reduction across samples. An error in a part is raised once every
+    part has finished.
     """
     global _pool
-    if not _modes.split or work <= floor or rows[0].ndim == 0:
+    if not _modes.split or rows[0].ndim == 0 or len(rows[0]) < 2:
         return fn(*rows, *args)
     n = len(rows[0])
     parts = min(_WORKERS, n)
@@ -491,12 +480,12 @@ def _over_samples(fn, work, floor, rows, *args):
 def relu(a):
     x = a.data
     y = np.empty_like(x)
-    _over_samples(_relu_rows, x.size, SPLIT_FLOOR_ELEMENTWISE, (x, y))
+    _over_samples(_relu_rows, (x, y))
     out = _node(y, (a,), "relu")
     if out.requires_grad:
         def bwd(g):
             gx = np.empty_like(x, dtype=g.dtype)
-            _over_samples(_relu_grad_rows, x.size, SPLIT_FLOOR_ELEMENTWISE, (g, x, gx))
+            _over_samples(_relu_grad_rows, (g, x, gx))
             _accum(a, gx)
         out._backward = bwd
     return out
@@ -545,8 +534,7 @@ def conv2d(x, w, pad=1):
     if keep:
         cols = _conv2d_rows(x.data, y, wmat, pad, step)
     else:
-        _over_samples(_conv2d_rows, n * k * ho * wo, SPLIT_FLOOR_CONV, (x.data, y),
-                      wmat, pad, step)
+        _over_samples(_conv2d_rows, (x.data, y), wmat, pad, step)
     out = _node(y.reshape(n, cout, ho, wo), (x, w), "conv2d")
     if out.requires_grad:
         wcols = cols.reshape(n, k, ho * wo) if keep else None
@@ -584,10 +572,8 @@ def _conv2d_input_grad(gm, wmat, shape, pad, ho, wo):
     Per sample group, the columns W^T @ g are built and each of the nine taps
     is added, clipped to the image, straight into the unpadded dX.
     """
-    n, cin = shape[:2]
     dx = np.zeros(shape, dtype=np.result_type(wmat, gm))
-    _over_samples(_conv2d_input_grad_rows, n * cin * 9 * ho * wo, SPLIT_FLOOR_CONV,
-                  (gm, dx), wmat, pad, ho, wo)
+    _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat, pad, ho, wo)
     return dx
 
 
@@ -623,8 +609,7 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     a = np.empty((n, c), dtype=np.result_type(gamma.data, istd))  # the factor applied to xc
     # Without a graph nothing reads xc again, so the output overwrites it.
     y = np.empty(x3.shape, dtype=np.result_type(xc, a)) if _records((x, gamma, beta)) else xc
-    _over_samples(_instance_norm_rows, x3.size, SPLIT_FLOOR_ELEMENTWISE,
-                  (x3, xc, istd, a, y), gamma.data, beta.data, eps)
+    _over_samples(_instance_norm_rows, (x3, xc, istd, a, y), gamma.data, beta.data, eps)
     out = _node(y.reshape(n, c, h, w), (x, gamma, beta), "instance_norm")
     if out.requires_grad:
         def bwd(g):
@@ -634,7 +619,7 @@ def instance_norm(x, gamma, beta, eps=1e-5):
             if x.requires_grad:
                 gx = np.empty(g3.shape, dtype=np.result_type(g3, a))
                 rows += (gx,)
-            _over_samples(_instance_norm_grad_rows, g3.size, SPLIT_FLOOR_ELEMENTWISE, rows)
+            _over_samples(_instance_norm_grad_rows, rows)
             if gamma.requires_grad:
                 _accum(gamma, (gxc * istd).sum(axis=0))
             if beta.requires_grad:
@@ -733,13 +718,12 @@ def avgpool(x):
         raise ShapeMismatch(f"avgpool requires spatial dims >= 2, got {h}x{w}")
     ninth = np.asarray(1.0 / 9.0, dtype=x.data.dtype)
     y = np.empty((n, c, -(-h // 2), -(-w // 2)), dtype=x.data.dtype)
-    _over_samples(_avgpool_rows, x.data.size, SPLIT_FLOOR_ELEMENTWISE, (x.data, y), ninth)
+    _over_samples(_avgpool_rows, (x.data, y), ninth)
     out = _node(y, (x,), "avgpool")
     if out.requires_grad:
         def bwd(g):
             gx = np.empty(x.data.shape, dtype=np.result_type(g, ninth))
-            _over_samples(_avgpool_grad_rows, x.data.size, SPLIT_FLOOR_ELEMENTWISE,
-                          (g, gx), ninth)
+            _over_samples(_avgpool_grad_rows, (g, gx), ninth)
             _accum(x, gx)
         out._backward = bwd
     return out

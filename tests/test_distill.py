@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attndistill import distill, losses
+from attndistill import augment, distill, losses
+from attndistill.augment import AugmentDraw, AugmentSpec, apply_augment
 from attndistill.data import ToySpec, gen_toy
-from attndistill.distill import (AugmentDraw, AugmentSpec, DistillConfig, DistillError,
-                                 apply_augment, distill_step, draw_augment,
+from attndistill.distill import (DistillConfig, DistillError, distill_step, draw_augment,
                                  init_synthetic, k_center, make_state,
                                  run_distillation, siamese_augment)
 from attndistill.encoder import EncoderConfig
@@ -276,7 +276,7 @@ def test_class_without_real_images_is_named():
 def test_siamese_property_instrumented(monkeypatch):
     train, enc = toy_setup()
     drawn, applied = [], []
-    draw_augment, apply_augment = distill.draw_augment, distill.apply_augment
+    draw_augment, apply_augment = distill.draw_augment, augment.apply_augment
 
     def draw_spy(*args):
         draw = draw_augment(*args)
@@ -288,7 +288,7 @@ def test_siamese_property_instrumented(monkeypatch):
         return apply_augment(batch, spec, draw)
 
     monkeypatch.setattr(distill, "draw_augment", draw_spy)
-    monkeypatch.setattr(distill, "apply_augment", apply_spy)
+    monkeypatch.setattr(augment, "apply_augment", apply_spy)
     state = make_state(quick_config(), enc, train)
     distill_step(state, 0)
     distill_step(state, 1)

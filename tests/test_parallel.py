@@ -19,20 +19,18 @@ from attndistill.tensor import Tensor
 
 @pytest.fixture
 def split(monkeypatch):
-    """Set the usable CPUs to ``workers`` with the work floors at 0, and
-    record the (samples, thread) of every part that runs."""
+    """Set the usable CPUs to ``workers`` with REGION_FLOOR at 0, and record
+    the (samples, thread) of every part that runs."""
     parts = []
     over_samples = T._over_samples
 
-    def spy(fn, work, floor, rows, *args):
+    def spy(fn, rows, *args):
         def part(*arrays):
             parts.append((len(arrays[0]), threading.get_ident()))
             return fn(*arrays)
-        return over_samples(part, work, floor, rows, *args)
+        return over_samples(part, rows, *args)
 
     monkeypatch.setattr(T, "_over_samples", spy)
-    monkeypatch.setattr(T, "SPLIT_FLOOR_CONV", 0)
-    monkeypatch.setattr(T, "SPLIT_FLOOR_ELEMENTWISE", 0)
     monkeypatch.setattr(T, "REGION_FLOOR", 0)
 
     def set_workers(workers):
@@ -105,6 +103,41 @@ def test_split_op_matches_unsplit_bit_for_bit(split, monkeypatch, name, dtype, w
     assert any(t != threading.get_ident() for _, t in parts)
     for a, b in zip(whole, pieces):
         assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
+# ---------------------------------------------------------------------------
+# the region is the only gate: inside it every op of two or more samples splits
+
+
+def test_region_alone_decides_which_ops_split(split, blas):
+    """Only REGION_FLOOR is patched, so no per-op size threshold can keep a
+    tiny op whole; the two workers stand for a 2-CPU machine on any box."""
+    parts = split(2)
+    main = threading.get_ident()
+    rng = np.random.default_rng(7)
+    pair = Tensor(rng.normal(size=(2, 1, 2, 2)).astype(np.float32))
+    with T.parallel(1):
+        T.relu(pair)
+    threads = {t for _, t in parts}
+    assert [m for m, _ in parts] == [1, 1] and main in threads and len(threads) == 2
+
+    parts.clear()
+    x = Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
+    gamma, beta = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
+
+    def every_op(x):
+        y = T.avgpool(T.relu(T.instance_norm(T.conv2d(x, w), gamma, beta)))
+        T.backward(T.sum_all(T.abs_pow(y, 4.0)))
+
+    with T.parallel(1):
+        every_op(x)
+    assert len(parts) == 10 and set(parts) == {(1, main)}
+
+    parts.clear()
+    x = Tensor(rng.normal(size=(4, 2, 4, 4)).astype(np.float32), requires_grad=True)
+    every_op(x)
+    assert len(parts) == 10 and set(parts) == {(4, main)}
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +232,7 @@ def test_failing_part_is_raised_after_the_others_finish(split, failing):
         finished.append(samples[0])
 
     with T.parallel(6), pytest.raises(ValueError, match=f"part at {failing}"):
-        T._over_samples(fn, 6, 0, (np.arange(6),))
+        T._over_samples(fn, (np.arange(6),))
     assert sorted(finished) == sorted({0, 2, 4} - {failing})
 
 
