@@ -3,6 +3,8 @@
 central finite differences, at both precisions.
 
 Usage: python3 scripts/check_gradients.py [--classes 2] [--size 8] [--width 8]
+
+Exits 1 when either precision's error exceeds its tolerance.
 """
 import argparse
 import sys
@@ -39,6 +41,7 @@ def main():
     params64 = sample_params(cfg, args.seed, dtype=np.float64)
     reals64 = [Tensor(r) for r in real64]
 
+    failed = False
     for dtype, h, tol in ((np.float32, 1e-3, 1e-3), (np.float64, 1e-4, 1e-6)):
         t0 = time.time()
         params = sample_params(cfg, args.seed, dtype=dtype)
@@ -52,7 +55,9 @@ def main():
         verdict = "OK" if worst < tol else "TOO LARGE"
         print(f"{np.dtype(dtype).name:8s} max rel err {worst:.3e} "
               f"(tolerance {tol:g}) [{verdict}] in {time.time() - t0:.1f}s")
+        failed |= verdict != "OK"
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -38,9 +38,12 @@ def _parse_aug(text):
 
 def _parse_layers(text):
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        layers = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad layer list {text!r}") from None
+        layers = ()
+    if not layers:
+        raise argparse.ArgumentTypeError(f"bad layer list {text!r}")
+    return layers
 
 
 def _add_dataset_flags(p):

@@ -57,8 +57,12 @@ class DistillConfig:
             raise ValueError(f"rates out of range: {self}")
         if self.init not in ("random", "kcenter", "noise"):
             raise ValueError(f"unknown init strategy {self.init!r}")
+        if not (self.use_sam or self.use_mmd):
+            raise ValueError("at least one of the attention and feature-mean terms must be on")
         if self.lr_images is None:
             self.lr_images = 1.0 if self.ipc <= 50 else 10.0
+        if self.lr_images < 0:
+            raise ValueError(f"image learning rate must be >= 0, got {self.lr_images}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +177,11 @@ def distill_step(state, iteration):
             draw = draw_augment(cfg.augment, h, w, rng_aug)
             real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
             with T.no_grad():
-                target = losses.target_stats(
+                target = losses.class_stats(
                     (forward(params, Tensor(real_a.data[i:i + chunk]))
                      for i in range(0, take, chunk)),
                     cfg.p, layers)
-            stats = losses.class_stats(forward(params, syn_a), cfg.p, layers)
+            stats = losses.class_stats([forward(params, syn_a)], cfg.p, layers)
             sam = mmd = zero
             if cfg.use_sam:
                 sam, layer_terms = losses.sam_loss(target, stats)

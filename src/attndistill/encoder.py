@@ -15,11 +15,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-# Element budget of one no-grad chunk's first-block activation (width x H x W
-# per image). At width 128 and 32 px this is 8 images per chunk; the toy
-# benchmark's 64-image class batch (width 32, 16 px) stays one chunk.
-NOGRAD_CHUNK_ELEMENTS = 1 << 20
-
 
 def default_depth(input_size):
     """Block count by input resolution: 3 up to 32px, 4 up to 64, 5 beyond."""
@@ -64,8 +59,10 @@ class EncoderConfig:
 
     def nograd_chunk(self):
         """Images per chunk of a no-grad pass: as many as keep the
-        first-block activation within NOGRAD_CHUNK_ELEMENTS, at least one."""
-        return max(1, NOGRAD_CHUNK_ELEMENTS // (self.width * self.input_size ** 2))
+        first-block activation within ``T.GROUP_BUDGET``, at least one. At
+        width 128 and 32 px that is 8 images; the toy benchmark's 64-image
+        class batch (width 32, 16 px) stays one chunk."""
+        return max(1, T.GROUP_BUDGET // (self.width * self.input_size ** 2))
 
 
 @dataclass

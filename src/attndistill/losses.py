@@ -6,7 +6,7 @@ attention maps on the intermediate layers, and a linear-kernel MMD (squared
 distance of empirical mean vectors) on the vectorized last-layer features.
 Error reduction is MSE over vector components; layer terms are summed. The
 sum over classes is taken by the caller. The real side is a constant target,
-so its statistics are accumulated chunk by chunk without a graph.
+embedded chunk by chunk without a graph.
 """
 from __future__ import annotations
 
@@ -56,49 +56,23 @@ def _select_layers(depth, layers):
     return layers
 
 
-def _sample_rows(trace, p, layers):
-    """The per-sample rows a class's statistics average: the unit-normalized
-    vectorized attention map of each layer in ``layers``, then the
-    vectorized last-layer feature."""
-    rows = [T.l2_normalize_rows(T.flatten2d(attention_pool(trace.features[l - 1], p)),
-                                NORM_EPS)
-            for l in layers]
-    return rows + [T.flatten2d(trace.features[-1])]
-
-
-def class_stats(trace, p, layers=None):
-    """The statistics of one class's batch from its ForwardTrace.
+def class_stats(traces, p, layers=None):
+    """The statistics of one class's batch from the ForwardTraces of its
+    consecutive chunks: ``[trace]`` for the synthetic batch, whose graph runs
+    back to the pixels, or the real batch's chunks run under ``T.no_grad()``.
 
     layers: 1-based block indices among 1..L-1 (None selects all of them).
-    On the synthetic batch this records the graph back to the pixels.
+    Each sample's rows, the unit-normalized vectorized attention map of each
+    layer and the vectorized last-layer feature, are joined across chunks
+    and averaged once, so the chunking does not change the result.
     """
-    layers = _select_layers(len(trace.features), layers)
-    *attention, feature = [T.mean_axis(r, 0) for r in _sample_rows(trace, p, layers)]
-    return ClassStats(layers=layers, attention=attention, feature=feature)
-
-
-def target_stats(traces, p, layers=None):
-    """The constant real-side statistics of one class, from the
-    ForwardTraces of its batch's consecutive chunks (at least one; run them
-    under ``T.no_grad()``).
-
-    Only running sums are kept. Rows are added one sample at a time, in
-    sample order and starting from zero, then divided by the batch size
-    once. That is how ``mean_axis`` reduces rows of two or more elements, so
-    the result equals ``class_stats`` of the whole batch bit for bit (a
-    single column, e.g. a width-1 encoder's 1x1 feature, numpy sums
-    pairwise, which may round differently).
-    """
-    sums, count = None, 0
+    chunks = []
     for trace in traces:
         chosen = _select_layers(len(trace.features), layers)
-        rows = [r.data for r in _sample_rows(trace, p, chosen)]
-        sums = sums or [np.zeros_like(r[0]) for r in rows]
-        for total, r in zip(sums, rows):
-            for row in r:
-                total += row
-        count += len(rows[-1])
-    *attention, feature = [Tensor(total / count) for total in sums]
+        chunks.append([T.l2_normalize_rows(T.flatten2d(attention_pool(trace.features[l - 1], p)),
+                                           NORM_EPS)
+                       for l in chosen] + [T.flatten2d(trace.features[-1])])
+    *attention, feature = [T.mean_axis(T.concat_rows(rows), 0) for rows in zip(*chunks)]
     return ClassStats(layers=chosen, attention=attention, feature=feature)
 
 

@@ -316,6 +316,24 @@ def slice_rows(a, start, stop):
     return out
 
 
+def concat_rows(parts):
+    """Join tensors along axis 0; a single part is returned as it is. Each
+    part's gradient is its own rows of the output's."""
+    parts = tuple(parts)
+    if len(parts) == 1:
+        return parts[0]
+    if len({(p.data.shape[1:], p.data.dtype) for p in parts}) > 1:
+        raise ShapeMismatch(f"concat_rows: parts {list(parts)}")
+    out = _node(np.concatenate([p.data for p in parts]), parts, "concat_rows")
+    if out.requires_grad:
+        cuts = np.cumsum([0] + [len(p.data) for p in parts])
+        def bwd(g):
+            for p, start, stop in zip(parts, cuts, cuts[1:]):
+                _accum(p, g[start:stop], owned=False)
+        out._backward = bwd
+    return out
+
+
 # ---------------------------------------------------------------------------
 # image-batch ops (N, C, H, W)
 

@@ -162,8 +162,8 @@ def matching_loss(params, reals, pixels, p=4.0, lam=0.01):
     value = 0.0
     for k, real in enumerate(reals):
         with T.no_grad():
-            target = losses.class_stats(forward(params, real), p)
-        stats = losses.class_stats(forward(params, T.slice_rows(syn, k, k + 1)), p)
+            target = losses.class_stats([forward(params, real)], p)
+        stats = losses.class_stats([forward(params, T.slice_rows(syn, k, k + 1))], p)
         sam, _ = losses.sam_loss(target, stats)
         total = losses.total_loss(sam, losses.mmd_loss(target, stats), lam)
         T.backward(total)

@@ -83,7 +83,7 @@ def test_criterion_2_identical_batches():
     for seed in range(20):
         params = sample_params(cfg, seed)
         with T.no_grad():
-            stats = class_stats(forward(params, batch), 4.0)
+            stats = class_stats([forward(params, batch)], 4.0)
         s, _ = sam_loss(stats, stats)
         m = mmd_loss(stats, stats)
         assert abs(s.item()) < 1e-6
@@ -104,7 +104,7 @@ def test_criterion_3_feature_scaling():
     with T.no_grad():
         real = forward(params, Tensor(rng.normal(size=(4, 1, 8, 8))))
         syn = forward(params, Tensor(rng.normal(size=(2, 1, 8, 8))))
-    _, base = sam_loss(class_stats(real, 4.0), class_stats(syn, 4.0))
+    _, base = sam_loss(class_stats([real], 4.0), class_stats([syn], 4.0))
 
     def scaled(trace, layer, c):
         feats = [Tensor(f.data * c) if i == layer else f
@@ -113,8 +113,8 @@ def test_criterion_3_feature_scaling():
 
     for layer in (0, 1):
         for c in (0.1, 7.3):
-            _, got = sam_loss(class_stats(scaled(real, layer, c), 4.0),
-                              class_stats(scaled(syn, layer, c), 4.0))
+            _, got = sam_loss(class_stats([scaled(real, layer, c)], 4.0),
+                              class_stats([scaled(syn, layer, c)], 4.0))
             assert abs(got[layer] - base[layer]) < 1e-6, (layer, c)
 
 

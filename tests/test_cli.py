@@ -173,6 +173,26 @@ def test_cmd_distill_bad_aug_list_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags,words", [
+    (["--lr", "-1"], "learning rate"),              # gradient ascent
+    (["--no-sam", "--no-mmd"], "at least one"),     # an objective that is 0
+], ids=["negative-lr", "no-terms"])
+def test_cmd_distill_wrong_objective_exits_1_with_one_error_line(tmp_path, capsys, flags,
+                                                                 words):
+    out = tmp_path / "x.dds"
+    assert run_cli(*toy_distill_args(out), *flags) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", [",", ""], ids=["comma", "empty"])
+def test_cmd_distill_empty_layer_list_exits_2(tmp_path, layers):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*toy_distill_args(tmp_path / "x.dds"), "--layers", layers)
+    assert exc.value.code == 2
+
+
 def test_cmd_distill_cifar_fixture_end_to_end(tmp_path):
     import test_data
     rng = np.random.default_rng(0)

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attndistill import augment, distill, losses
+from attndistill import augment, distill, losses, tensor as T
 from attndistill.augment import AugmentDraw, AugmentSpec, apply_augment
 from attndistill.data import ToySpec, gen_toy
 from attndistill.distill import (DistillConfig, DistillError, distill_step, draw_augment,
@@ -263,6 +264,36 @@ def test_real_batch_is_embedded_in_budgeted_chunks(monkeypatch):
     distill_step(state, 0)
     per_class = [(8, False), (8, False), (4, False), (1, True)]
     assert calls == per_class * 2
+
+
+def test_step_memory_does_not_grow_with_the_class_count(monkeypatch):
+    """No class's joined real rows or synthetic graph outlive the class after
+    it, so the peak of a step grows with K only by the arrays of the pixels'
+    shape (pixels, velocity, gradient) and the encoder's classifier rows,
+    plus SLACK bytes of Python bookkeeping. Augmentation is off, so every
+    class allocates alike."""
+    SLACK = 16 << 10
+    width, size = 64, 32
+    # two 4-image chunks per class's 8-image real batch
+    monkeypatch.setattr(T, "GROUP_BUDGET", 4 * width * size * size)
+    enc = EncoderConfig(depth=2, width=width, input_channels=1, input_size=size)
+
+    def peak(k):
+        train, _ = gen_toy(ToySpec(num_classes=k, images_per_class=8, image_size=size,
+                                   noise_std=0.3, seed=0))
+        state = make_state(quick_config(augment=AugmentSpec.none()),
+                           dataclasses.replace(enc, num_classes=k), train)
+        distill_step(state, 0)  # first calls allocate caches
+        tracemalloc.start()
+        try:
+            distill_step(state, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    itemsize = np.dtype(np.float32).itemsize
+    per_class = (3 * size * size + enc.classifier_in()) * itemsize  # ipc 1
+    assert peak(8) - peak(2) <= 6 * per_class + SLACK
 
 
 def test_class_without_real_images_is_named():

@@ -137,7 +137,7 @@ def test_forward_values_do_not_depend_on_grad_mode(dtype):
     for fp, fg in zip(plain.features, graph.features):
         assert np.array_equal(fp.data, fg.data)
     assert np.array_equal(plain.logits.data, graph.logits.data)
-    target, stats = class_stats(plain, 4.0), class_stats(graph, 4.0)
+    target, stats = class_stats([plain], 4.0), class_stats([graph], 4.0)
     s, per_layer = sam_loss(target, stats)
     assert s.item() == 0.0 and per_layer == [0.0] * (cfg.depth - 1)
     assert mmd_loss(target, stats).item() == 0.0

@@ -1,11 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attndistill.encoder import EncoderConfig, ForwardTrace, forward, sample_params
-from attndistill.losses import (attention_pool, class_stats, mmd_loss, sam_loss,
-                                target_stats, total_loss)
+from attndistill.losses import attention_pool, class_stats, mmd_loss, sam_loss, total_loss
 from attndistill import tensor as T
 from attndistill.tensor import Tensor
 
@@ -28,7 +31,7 @@ def random_features(rng, depth=3, batch=3, width=2, size=8):
 
 
 def stats_of(features, layers=None):
-    return class_stats(trace_from(features), 4.0, layers)
+    return class_stats([trace_from(features)], 4.0, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +90,33 @@ def test_class_stats_select_layers():
     assert np.allclose(only2.feature.data, mean, rtol=1e-12)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("batch,chunk,layers", [
-    (11, 4, None),   # the chunk size does not divide the batch
-    (11, 16, None),  # one chunk
-    (12, 5, (2,)),   # a subset of the layers
-])
-def test_target_stats_equal_full_batch_class_stats_bit_for_bit(dtype, batch, chunk, layers):
-    cfg = EncoderConfig(depth=3, width=6, input_channels=2, input_size=12, num_classes=2)
+WIDE = EncoderConfig(depth=3, width=6, input_channels=2, input_size=12, num_classes=2)
+# width 1 with a 1x1 final map: the feature rows are one column, which numpy
+# sums pairwise; with these draws a sum taken one row after another rounds
+# differently
+NARROW = EncoderConfig(depth=2, width=1, input_channels=1, input_size=4, num_classes=2)
+
+
+@pytest.mark.parametrize("cfg,batch,chunk,layers,dtype", [
+    pytest.param(WIDE, batch, chunk, layers, dtype,
+                 id=f"{batch}-{chunk}-{'None' if layers is None else 'layers2'}-{dtype.__name__}")
+    for batch, chunk, layers in [
+        (11, 4, None),   # the chunk size does not divide the batch
+        (11, 16, None),  # one chunk
+        (12, 5, (2,)),   # a subset of the layers
+    ]
+    for dtype in (np.float32, np.float64)
+] + [pytest.param(NARROW, 64, 3, None, np.float64, id="width1-64-3-None-float64")])
+def test_chunked_class_stats_equal_full_batch_bit_for_bit(cfg, batch, chunk, layers, dtype):
     params = sample_params(cfg, 31, dtype=dtype)
     rng = np.random.default_rng(32)
-    images = rng.normal(size=(batch, 2, 12, 12)).astype(dtype)
+    images = rng.normal(size=(batch, cfg.input_channels, cfg.input_size,
+                              cfg.input_size)).astype(dtype)
     with T.no_grad():
-        whole = class_stats(forward(params, Tensor(images)), 4.0, layers)
-        chunked = target_stats((forward(params, Tensor(images[i:i + chunk]))
-                                for i in range(0, batch, chunk)), 4.0, layers)
-    assert chunked.layers == whole.layers == ([1, 2] if layers is None else [2])
+        whole = class_stats([forward(params, Tensor(images))], 4.0, layers)
+        chunked = class_stats((forward(params, Tensor(images[i:i + chunk]))
+                               for i in range(0, batch, chunk)), 4.0, layers)
+    assert chunked.layers == whole.layers == ([2] if layers else list(range(1, cfg.depth)))
     got = chunked.attention + [chunked.feature]
     want = whole.attention + [whole.feature]
     assert len(got) == len(want)
@@ -112,9 +126,11 @@ def test_target_stats_equal_full_batch_class_stats_bit_for_bit(dtype, batch, chu
 
 
 def test_target_stats_rejects_last_layer():
-    feats = random_features(np.random.default_rng(33))
+    # the real batch's chunked statistics reject the last layer as well
+    rng = np.random.default_rng(33)
+    chunks = [trace_from(random_features(rng)) for _ in range(2)]
     with pytest.raises(ValueError):
-        target_stats([trace_from(feats)], 4.0, layers=(3,))
+        class_stats(chunks, 4.0, layers=(3,))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +272,7 @@ def test_zero_loss_identity_through_encoder():
     for seed in range(20):
         params = sample_params(cfg, seed)
         with T.no_grad():
-            stats = class_stats(forward(params, batch), 4.0)
+            stats = class_stats([forward(params, batch)], 4.0)
         s, _ = sam_loss(stats, stats)
         m = mmd_loss(stats, stats)
         assert abs(s.item()) < 1e-6 and abs(m.item()) < 1e-6
@@ -273,3 +289,11 @@ def test_total_gradient_matches_finite_differences():
     _, grad = matching_loss(params, real, syn0)
     num = fd_gradient(lambda v: matching_loss(params, real, v)[0], syn0.ravel(), 1e-4)
     assert max_rel_err(grad.ravel(), num) < 1e-6
+
+
+def test_check_gradients_script_passes():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "check_gradients.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.count("[OK]") == 2, run.stdout

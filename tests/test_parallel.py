@@ -266,6 +266,6 @@ def test_public_functions_run_on_the_calling_thread(split, monkeypatch):
         distill_step(state, i)
     main = threading.get_ident()
     assert {"conv2d", "backward", "forward", "siamese_augment",
-            "class_stats", "target_stats"} <= {name for name, _ in seen}
+            "class_stats"} <= {name for name, _ in seen}
     assert [name for name, t in seen if t != main] == []
     assert any(t != main for _, t in parts)

@@ -323,7 +323,7 @@ def test_backward_is_linear_in_branches(values, c1, c2):
     assert np.allclose(x.grad, c1 + c2)
 
 
-@pytest.mark.parametrize("case", ["add", "sub", "reshape"])
+@pytest.mark.parametrize("case", ["add", "sub", "reshape", "concat_rows"])
 def test_tensor_consumed_twice_gets_the_sum_in_its_own_buffer(case):
     rng = np.random.default_rng(31)
     x = t64(rng.normal(size=(2, 3)), grad=True)
@@ -333,6 +333,9 @@ def test_tensor_consumed_twice_gets_the_sum_in_its_own_buffer(case):
         out, expect = T.add(x, x), g + g
     elif case == "sub":
         out, expect = T.sub(x, x), np.zeros((2, 3))
+    elif case == "concat_rows":
+        out, g = T.concat_rows([x, x]), rng.normal(size=(4, 3))
+        expect = g[:2] + g[2:]
     else:
         out = T.add(T.reshape(T.reshape(x, (6,)), (2, 3)), T.mul(x, t64(c)))
         expect = g + g * c
@@ -368,6 +371,14 @@ def test_slice_rows_scatters_gradient():
     expect = np.zeros((4, 3))
     expect[1:3] = 2.0
     assert np.array_equal(x.grad, expect)
+
+
+def test_concat_rows_returns_one_part_as_it_is_and_rejects_mismatched_parts():
+    x = t64(np.ones((2, 3)), grad=True)
+    assert T.concat_rows([x]) is x
+    for other in (t64(np.ones((2, 4))), Tensor(np.ones((2, 3), dtype=np.float32))):
+        with pytest.raises(ShapeMismatch):
+            T.concat_rows([x, other])
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +434,7 @@ OPS = {
     "abs_pow_p1": (lambda t, c: T.abs_pow(t, 1.0), (2, 5)),
     "l2norm": (lambda t, c: T.l2_normalize_rows(t), (3, 6)),
     "reshape": (lambda t, c: T.reshape(t, (6,)), (2, 3)),
+    "concat_rows": (lambda t, c: T.concat_rows([c["other"], t, c["other23"]]), (4, 3)),
     "relu": (lambda t, c: T.relu(t), (3, 4)),
     "conv2d": (lambda t, c: T.conv2d(t, c["w"]), (2, 2, 4, 4)),
     "instance_norm": (lambda t, c: T.instance_norm(t, c["gamma"], c["beta"]), (2, 2, 4, 4)),
