@@ -196,6 +196,7 @@ def cmd_distill(args):
         def sink(iteration, brk):
             if csv_file:
                 csv_file.write(f"{iteration},{brk.l_sam:.9g},{brk.l_mmd:.9g},{brk.total:.9g}\n")
+                csv_file.flush()  # a run killed hours in keeps every finished line
 
         syn = run_distillation(config, encoder_cfg, train, sink=sink)
     finally:

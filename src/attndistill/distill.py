@@ -195,6 +195,7 @@ def distill_step(state, iteration):
             T.backward(losses.total_loss(sam, mmd, cfg.lam))
             l_sam = l_sam + sam.data
             l_mmd = l_mmd + mmd.data
+            del stats, target, sam, mmd, syn_a, real_a, real
 
     if syn.images.grad is None:
         syn.images.grad = np.zeros_like(syn.images.data)

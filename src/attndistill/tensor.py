@@ -121,6 +121,10 @@ def _accum(t, g, owned=True):
         t.grad += g
 
 
+_CONSUMED = object()
+"""The ``_backward`` of a node whose graph ``backward`` has walked."""
+
+
 def _topo_order(root):
     # Iterative post-order DFS: parents always precede their consumers.
     order = []
@@ -133,6 +137,9 @@ def _topo_order(root):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _CONSUMED:
+            raise TensorError(f"backward reached a {node._op} node of a graph that an "
+                              "earlier backward consumed; build the graph again")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -145,7 +152,13 @@ def backward(root):
     """Backpropagate d(root)/d(leaf) into every reachable requires_grad leaf.
 
     Gradients accumulate additively: a tensor feeding two consumers receives
-    the sum of both branch gradients, and repeated backward calls add up.
+    the sum of both branch gradients, and a leaf that separate graphs share
+    sums the gradients of the calls that walk them. The walk consumes the
+    graph: once a node's backward has run, its ``.grad``, its backward
+    closure (with the arrays it captured) and its parent links are dropped,
+    so an intermediate gradient lives only until its parents have received
+    theirs. Leaves keep their ``.grad``. A graph can be walked once; a later
+    call that reaches one of its nodes raises TensorError.
     """
     if root.data.size != 1:
         raise TensorError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -153,9 +166,14 @@ def backward(root):
         return
     order = _topo_order(root)
     _accum(root, np.ones_like(root.data))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while order:  # popped, so no list holds the nodes already walked
+        node = order.pop()
+        if node._backward is None:
+            continue
+        grad, bwd = node.grad, node._backward
+        node.grad, node._backward, node._parents = None, _CONSUMED, ()
+        if grad is not None:
+            bwd(grad)
 
 
 def _check_same_shape(a, b, op):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from attndistill import cli
 from attndistill.cli import main
 from attndistill.distill import SyntheticSet
 from attndistill.synfile import (RunManifest, SynFileError, read_synthetic,
@@ -114,6 +115,23 @@ def test_cmd_distill_writes_artifacts(tmp_path):
         parts = line.split(",")
         assert int(parts[0]) >= 0
         assert all(np.isfinite(float(v)) for v in parts[1:])
+
+
+def test_cmd_distill_flushes_each_metrics_line(tmp_path, monkeypatch):
+    out, metrics = tmp_path / "syn.dds", tmp_path / "m.csv"
+    on_disk = []
+    run_distillation = cli.run_distillation
+
+    def run(config, encoder_cfg, train, sink):
+        def read_back(iteration, brk):
+            sink(iteration, brk)
+            on_disk.append(metrics.read_text().splitlines())
+        return run_distillation(config, encoder_cfg, train, sink=read_back)
+
+    monkeypatch.setattr(cli, "run_distillation", run)
+    assert run_cli(*toy_distill_args(out, metrics)) == 0
+    assert [len(lines) for lines in on_disk] == [2, 3]
+    assert on_disk[-1] == metrics.read_text().splitlines()
 
 
 def test_cmd_distill_zero_iters_keeps_init(tmp_path):

@@ -266,34 +266,47 @@ def test_real_batch_is_embedded_in_budgeted_chunks(monkeypatch):
     assert calls == per_class * 2
 
 
+def _step_peak(monkeypatch, k):
+    """The ``tracemalloc`` peak of one ``distill_step`` over ``k`` classes of
+    ipc 1 (1x32x32, width 64, two real chunks per class's 8-image batch),
+    with augmentation off so that every class allocates alike, and the
+    bytes that each class adds to the step whatever the loop frees: its
+    pixel, velocity and gradient rows and the encoder's classifier rows."""
+    width, size = 64, 32
+    monkeypatch.setattr(T, "GROUP_BUDGET", 4 * width * size * size)
+    enc = EncoderConfig(depth=2, width=width, input_channels=1, input_size=size,
+                        num_classes=k)
+    train, _ = gen_toy(ToySpec(num_classes=k, images_per_class=8, image_size=size,
+                               noise_std=0.3, seed=0))
+    state = make_state(quick_config(augment=AugmentSpec.none()), enc, train)
+    distill_step(state, 0)  # first calls allocate caches
+    tracemalloc.start()
+    try:
+        distill_step(state, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_class = (3 * size * size + enc.classifier_in()) * np.dtype(np.float32).itemsize
+    return peak, per_class
+
+
 def test_step_memory_does_not_grow_with_the_class_count(monkeypatch):
     """No class's joined real rows or synthetic graph outlive the class after
     it, so the peak of a step grows with K only by the arrays of the pixels'
     shape (pixels, velocity, gradient) and the encoder's classifier rows,
-    plus SLACK bytes of Python bookkeeping. Augmentation is off, so every
-    class allocates alike."""
+    plus SLACK bytes of Python bookkeeping."""
     SLACK = 16 << 10
-    width, size = 64, 32
-    # two 4-image chunks per class's 8-image real batch
-    monkeypatch.setattr(T, "GROUP_BUDGET", 4 * width * size * size)
-    enc = EncoderConfig(depth=2, width=width, input_channels=1, input_size=size)
+    (peak2, per_class), (peak8, _) = _step_peak(monkeypatch, 2), _step_peak(monkeypatch, 8)
+    assert peak8 - peak2 <= 6 * per_class + SLACK
 
-    def peak(k):
-        train, _ = gen_toy(ToySpec(num_classes=k, images_per_class=8, image_size=size,
-                                   noise_std=0.3, seed=0))
-        state = make_state(quick_config(augment=AugmentSpec.none()),
-                           dataclasses.replace(enc, num_classes=k), train)
-        distill_step(state, 0)  # first calls allocate caches
-        tracemalloc.start()
-        try:
-            distill_step(state, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    itemsize = np.dtype(np.float32).itemsize
-    per_class = (3 * size * size + enc.classifier_in()) * itemsize  # ipc 1
-    assert peak(8) - peak(2) <= 6 * per_class + SLACK
+def test_a_class_is_released_before_the_next_is_embedded(monkeypatch):
+    """A second class adds no more to the peak than its own rows and SLACK
+    bytes: the first class's real batch and synthetic graph are gone before
+    the second class's real chunks are embedded."""
+    SLACK = 16 << 10
+    (peak1, per_class), (peak2, _) = _step_peak(monkeypatch, 1), _step_peak(monkeypatch, 2)
+    assert peak2 - peak1 <= per_class + SLACK
 
 
 def test_class_without_real_images_is_named():

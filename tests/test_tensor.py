@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -340,13 +341,63 @@ def test_tensor_consumed_twice_gets_the_sum_in_its_own_buffer(case):
         out = T.add(T.reshape(T.reshape(x, (6,)), (2, 3)), T.mul(x, t64(c)))
         expect = g + g * c
     root = T.sum_all(T.mul(out, t64(g)))
+    # backward drops each intermediate .grad once it has run, so catch every
+    # node's incoming gradient as its backward is called
+    inner = [node for node in T._topo_order(root) if node._backward is not None]
+    received = {}
+    for node in inner:
+        def spy(grad, node=node, bwd=node._backward):
+            received[id(node)] = (node, grad)
+            bwd(grad)
+        node._backward = spy
     T.backward(root)
     assert np.array_equal(x.grad, expect)
-    nodes = [node for node in T._topo_order(root) if node.grad is not None]
-    for i, a in enumerate(nodes):
-        assert a.grad.shape == a.data.shape and a.grad.dtype == a.data.dtype
-        for b in nodes[i + 1:]:
-            assert not np.shares_memory(a.grad, b.grad)
+    assert set(received) == {id(node) for node in inner}
+    grads = [*received.values(), (x, x.grad)]
+    for i, (a, ga) in enumerate(grads):
+        assert ga.shape == a.data.shape and ga.dtype == a.data.dtype
+        for _, gb in grads[i + 1:]:
+            assert not np.shares_memory(ga, gb)
+
+
+def test_separate_graphs_sum_into_a_shared_leaf():
+    x = t64([1.0, -2.0], grad=True)
+    T.backward(T.sum_all(T.mul(x, x)))
+    T.backward(T.scale(T.sum_all(x), 3.0))
+    assert np.array_equal(x.grad, 2 * x.data + 3.0)
+
+
+def test_a_graph_is_walked_once():
+    x = t64([1.0, -2.0], grad=True)
+    y = T.mul(x, x)
+    root = T.sum_all(y)
+    T.backward(root)
+    with pytest.raises(TensorError, match="consumed"):
+        T.backward(root)
+    with pytest.raises(TensorError, match="consumed"):
+        T.backward(T.sum_all(T.relu(y)))  # a new root over a walked node
+    assert np.array_equal(x.grad, [2.0, -4.0])
+
+
+def test_backward_frees_each_gradient_once_its_parents_have_theirs():
+    """Through a chain of eight elementwise ops on a 1 MiB array, backward's
+    peak stays within three arrays of that size above its start: the
+    gradient being passed on, the one being formed and the leaf's, where
+    keeping every intermediate gradient would take nine."""
+    n = 1 << 17
+    x = t64(np.random.default_rng(33).normal(size=n), grad=True)
+    y = x
+    for i in range(8):
+        y = T.relu(y) if i % 2 else T.scale(y, 1.5)
+    root = T.sum_all(y)
+    del y
+    tracemalloc.start()
+    try:
+        T.backward(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.data.nbytes
 
 
 def test_broadcast_gradient_takes_the_layout_of_its_tensor():
