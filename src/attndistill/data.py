@@ -54,7 +54,10 @@ def denormalize(x, mean, std):
 
 
 def _build_index(raw, labels, num_classes, stats):
-    raw = raw.astype(np.float32)
+    """Standardize ``raw`` per channel and index it by class. The images are
+    standardized in place: a C-contiguous float32 ``raw`` is taken over, so
+    the caller hands in an array it no longer uses; any other is copied."""
+    raw = np.ascontiguousarray(raw, dtype=np.float32)
     if stats is None:
         mean = raw.mean(axis=(0, 2, 3))
         std = raw.std(axis=(0, 2, 3))
@@ -62,12 +65,13 @@ def _build_index(raw, labels, num_classes, stats):
         mean, std = (np.asarray(s, dtype=np.float32) for s in stats)
     std = np.where(std == 0, 1.0, std).astype(np.float32)
     mean = mean.astype(np.float32)
-    images = (raw - mean[None, :, None, None]) / std[None, :, None, None]
+    raw -= mean[None, :, None, None]
+    raw /= std[None, :, None, None]
     per_class = [[] for _ in range(num_classes)]
     for i, lab in enumerate(labels):
         per_class[int(lab)].append(i)
     return DatasetIndex(
-        images=Tensor(images),
+        images=Tensor(raw),
         labels=labels.astype(np.int64),
         per_class=per_class,
         mean=mean,
@@ -202,9 +206,15 @@ def gen_toy(spec):
     labels = np.repeat(np.arange(spec.num_classes), spec.images_per_class)
 
     def split(stream, stats):
+        # One class's noise at a time: the generator's stream, and so every
+        # float32 value, is that of a single draw for the whole split.
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
-        noise = rng.normal(0.0, spec.noise_std, size=(labels.size, *templates.shape[1:]))
-        raw = templates[labels] + noise.astype(np.float32)
+        raw = np.empty((labels.size, *templates.shape[1:]), dtype=np.float32)
+        per = spec.images_per_class
+        for cls, template in enumerate(templates):
+            block = raw[cls * per:(cls + 1) * per]
+            block[...] = rng.normal(0.0, spec.noise_std, size=block.shape)
+            block += template
         return _build_index(raw, labels, spec.num_classes, stats)
 
     train = split(1, None)

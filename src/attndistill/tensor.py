@@ -46,21 +46,69 @@ def no_grad():
         _modes.grad_enabled = saved
 
 
-class Tensor:
-    """N-dimensional float array with an optional gradient slot."""
+class _Node:
+    """The graph record of one tensor that needs a gradient.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    A node holds the tensor's gradient slot, the nodes of the op's inputs
+    that need gradients, the op's backward closure, the op's name and the
+    tensor's shape and dtype; a leaf's node has no parents and no closure.
+    It holds no array of its tensor's, and a closure captures only the
+    arrays its backward reads, so a graph never references an op's output:
+    that array lives only as long as the caller keeps its ``Tensor``.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "op", "shape", "dtype")
+
+    def __init__(self, shape, dtype, parents=(), op="leaf"):
+        self.grad = None
+        self.parents = parents
+        self.backward = None
+        self.op = op
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """N-dimensional float array with an optional graph node.
+
+    ``node`` is None when the tensor needs no gradient. ``requires_grad``,
+    ``grad`` and ``_backward`` read and write the node's fields. Only the
+    tensor references ``data``: the graph holds the node, so an op's output
+    is freed once the caller drops its tensor, even while the graph lives.
+    """
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
-        self._op = "leaf"
+        self.node = _Node(arr.shape, arr.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self.node is None:
+            if value is not None:
+                raise TensorError("cannot set the gradient of a tensor that needs none")
+            return
+        self.node.grad = value
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node.backward = fn
 
     @property
     def shape(self):
@@ -80,52 +128,53 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
+        op = "const" if self.node is None else self.node.op
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={op})"
 
 
 def _records(parents):
     """Whether an op on ``parents`` records a graph node."""
-    return _modes.grad_enabled and any(p.requires_grad for p in parents)
+    return _modes.grad_enabled and any(p.node is not None for p in parents)
 
 
 def _node(data, parents, op):
     out = Tensor(data)
     if _records(parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._op = op
+        out.node = _Node(out.data.shape, out.data.dtype,
+                         tuple(p.node for p in parents if p.node is not None), op)
     return out
 
 
-def _accum(t, g, owned=True):
-    """Add gradient ``g`` into ``t.grad``.
+def _accum(node, g, owned=True):
+    """Add gradient ``g`` into ``node.grad``; a None node needs none.
 
-    The first gradient a tensor receives becomes its ``.grad``. An ``owned``
+    The first gradient a node receives becomes its ``.grad``. An ``owned``
     array, one the backward closure has just allocated and nothing else
     references, is adopted as it is. A gradient that is not owned, the
     consumer's own ``.grad`` passed through or a view of it, is copied, so no
     two tensors ever share a gradient buffer; so is a numpy scalar or an array
-    of another dtype than ``t``. A copy takes the memory layout of ``t.data``
-    (a broadcast gradient would otherwise keep its broadcast axis innermost).
-    Later gradients are added in place.
+    of another dtype than the node's. A copy is C-contiguous, as every array
+    an op allocates (a broadcast gradient would otherwise keep its broadcast
+    axis innermost). Later gradients are added in place.
     """
-    if not t.requires_grad:
+    if node is None:
         return
-    if t.grad is None:
-        if owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
-            t.grad = g
+    if node.grad is None:
+        if owned and isinstance(g, np.ndarray) and g.dtype == node.dtype:
+            node.grad = g
         else:
-            t.grad = np.empty_like(t.data)
-            np.copyto(t.grad, g)
+            node.grad = np.empty(node.shape, dtype=node.dtype)
+            np.copyto(node.grad, g)
     else:
-        t.grad += g
+        node.grad += g
 
 
 _CONSUMED = object()
-"""The ``_backward`` of a node whose graph ``backward`` has walked."""
+"""The ``backward`` of a node whose graph ``backward`` has walked."""
 
 
 def _topo_order(root):
+    """The nodes reachable from node ``root``, each after all its parents."""
     # Iterative post-order DFS: parents always precede their consumers.
     order = []
     visited = set()
@@ -137,12 +186,12 @@ def _topo_order(root):
             continue
         if id(node) in visited:
             continue
-        if node._backward is _CONSUMED:
-            raise TensorError(f"backward reached a {node._op} node of a graph that an "
+        if node.backward is _CONSUMED:
+            raise TensorError(f"backward reached a {node.op} node of a graph that an "
                               "earlier backward consumed; build the graph again")
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in visited:
                 stack.append((p, False))
     return order
@@ -151,27 +200,29 @@ def _topo_order(root):
 def backward(root):
     """Backpropagate d(root)/d(leaf) into every reachable requires_grad leaf.
 
-    Gradients accumulate additively: a tensor feeding two consumers receives
-    the sum of both branch gradients, and a leaf that separate graphs share
-    sums the gradients of the calls that walk them. The walk consumes the
-    graph: once a node's backward has run, its ``.grad``, its backward
-    closure (with the arrays it captured) and its parent links are dropped,
-    so an intermediate gradient lives only until its parents have received
-    theirs. Leaves keep their ``.grad``. A graph can be walked once; a later
-    call that reaches one of its nodes raises TensorError.
+    The walk runs over the graph's nodes, which hold no op's output array:
+    each closure reads only what it captured in forward. Gradients
+    accumulate additively: a tensor feeding two consumers receives the sum
+    of both branch gradients, and a leaf that separate graphs share sums the
+    gradients of the calls that walk them. The walk consumes the graph: once
+    a node's backward has run, its ``.grad``, its backward closure (with the
+    arrays it captured) and its parent links are dropped, so an intermediate
+    gradient lives only until its parents have received theirs. Leaves keep
+    their ``.grad``. A graph can be walked once; a later call that reaches
+    one of its nodes raises TensorError.
     """
     if root.data.size != 1:
         raise TensorError(f"backward requires a scalar root, got shape {root.data.shape}")
-    if not root.requires_grad:
+    if root.node is None:
         return
-    order = _topo_order(root)
-    _accum(root, np.ones_like(root.data))
+    order = _topo_order(root.node)
+    _accum(root.node, np.ones(root.data.shape, dtype=root.data.dtype))
     while order:  # popped, so no list holds the nodes already walked
         node = order.pop()
-        if node._backward is None:
+        if node.backward is None:
             continue
-        grad, bwd = node.grad, node._backward
-        node.grad, node._backward, node._parents = None, _CONSUMED, ()
+        grad, bwd = node.grad, node.backward
+        node.grad, node.backward, node.parents = None, _CONSUMED, ()
         if grad is not None:
             bwd(grad)
 
@@ -191,9 +242,11 @@ def add(a, b):
     _check_same_shape(a, b, "add")
     out = _node(a.data + b.data, (a, b), "add")
     if out.requires_grad:
+        an, bn = a.node, b.node
+
         def bwd(g):
-            _accum(a, g, owned=False)
-            _accum(b, g, owned=False)
+            _accum(an, g, owned=False)
+            _accum(bn, g, owned=False)
         out._backward = bwd
     return out
 
@@ -202,9 +255,11 @@ def sub(a, b):
     _check_same_shape(a, b, "sub")
     out = _node(a.data - b.data, (a, b), "sub")
     if out.requires_grad:
+        an, bn = a.node, b.node
+
         def bwd(g):
-            _accum(a, g, owned=False)
-            _accum(b, -g)
+            _accum(an, g, owned=False)
+            _accum(bn, -g)
         out._backward = bwd
     return out
 
@@ -213,19 +268,23 @@ def mul(a, b):
     _check_same_shape(a, b, "mul")
     out = _node(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
+        an, bn, ad, bd = a.node, b.node, a.data, b.data
+
         def bwd(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            _accum(an, g * bd)
+            _accum(bn, g * ad)
         out._backward = bwd
     return out
 
 
 def scale(a, c):
-    c = float(c)
-    out = _node(a.data * np.asarray(c, dtype=a.data.dtype), (a,), "scale")
+    c = np.asarray(float(c), dtype=a.data.dtype)
+    out = _node(a.data * c, (a,), "scale")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, g * np.asarray(c, dtype=a.data.dtype))
+            _accum(an, g * c)
         out._backward = bwd
     return out
 
@@ -233,8 +292,10 @@ def scale(a, c):
 def sum_all(a):
     out = _node(a.data.sum(), (a,), "sum_all")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, np.broadcast_to(g, a.data.shape), owned=False)
+            _accum(an, np.broadcast_to(g, an.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -242,8 +303,10 @@ def sum_all(a):
 def sum_axis(a, axis):
     out = _node(a.data.sum(axis=axis), (a,), "sum_axis")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape), owned=False)
+            _accum(an, np.broadcast_to(np.expand_dims(g, axis), an.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -252,9 +315,10 @@ def mean_axis(a, axis):
     n = a.data.shape[axis]
     out = _node(a.data.mean(axis=axis), (a,), "mean_axis")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape),
-                   owned=False)
+            _accum(an, np.broadcast_to(np.expand_dims(g / n, axis), an.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -266,28 +330,29 @@ def abs_pow(a, p):
         raise TensorError(f"abs_pow requires p >= 1, got {p}")
     x = a.data
     y = np.empty_like(x)
-    # Without a graph nothing reads |x| again, so the power overwrites it.
-    ax = np.empty_like(x) if _records((a,)) else y
-    _over_samples(_abs_pow_rows, (x, ax, y), p)
+    _over_samples(_abs_pow_rows, (x, y), p)
     out = _node(y, (a,), "abs_pow")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
             gx = np.empty_like(x, dtype=np.result_type(g, x))
-            _over_samples(_abs_pow_grad_rows, (g, x, ax, gx), p)
-            _accum(a, gx)
+            _over_samples(_abs_pow_grad_rows, (g, x, gx), p)
+            _accum(an, gx)
         out._backward = bwd
     return out
 
 
-def _abs_pow_rows(x, ax, y, p):
-    np.abs(x, out=ax)
-    np.power(ax, p, out=y)
+def _abs_pow_rows(x, y, p):
+    np.abs(x, out=y)
+    np.power(y, p, out=y)
 
 
-def _abs_pow_grad_rows(g, x, ax, gx, p):
+def _abs_pow_grad_rows(g, x, gx, p):
+    # backward keeps x alone and takes |x| again: abs is exact
     np.multiply(g, p, out=gx)
     gx *= np.sign(x)
-    gx *= ax ** (p - 1)
+    gx *= np.abs(x) ** (p - 1)
 
 
 def l2_normalize_rows(a, eps=1e-8):
@@ -298,11 +363,13 @@ def l2_normalize_rows(a, eps=1e-8):
     denom = n + np.asarray(eps, dtype=a.data.dtype)
     out = _node(a.data / denom, (a,), "l2norm")
     if out.requires_grad:
+        an, x = a.node, a.data
         # zero rows: the second term has a 0/0 limit of 0, guard the divisor
-        n_safe = np.maximum(n, np.finfo(a.data.dtype).tiny)
+        n_safe = np.maximum(n, np.finfo(x.dtype).tiny)
+
         def bwd(g):
-            dot = (g * a.data).sum(axis=1, keepdims=True)
-            _accum(a, g / denom - a.data * dot / (n_safe * denom ** 2))
+            dot = (g * x).sum(axis=1, keepdims=True)
+            _accum(an, g / denom - x * dot / (n_safe * denom ** 2))
         out._backward = bwd
     return out
 
@@ -310,8 +377,10 @@ def l2_normalize_rows(a, eps=1e-8):
 def reshape(a, shape):
     out = _node(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, g.reshape(a.data.shape), owned=False)
+            _accum(an, g.reshape(an.shape), owned=False)
         out._backward = bwd
     return out
 
@@ -325,11 +394,12 @@ def slice_rows(a, start, stop):
     """Contiguous slice along axis 0; gradients scatter back into the rows."""
     out = _node(a.data[start:stop].copy(), (a,), "slice_rows")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                a.grad[start:stop] += g
+            if an.grad is None:
+                an.grad = np.zeros(an.shape, dtype=an.dtype)
+            an.grad[start:stop] += g
         out._backward = bwd
     return out
 
@@ -344,10 +414,12 @@ def concat_rows(parts):
         raise ShapeMismatch(f"concat_rows: parts {list(parts)}")
     out = _node(np.concatenate([p.data for p in parts]), parts, "concat_rows")
     if out.requires_grad:
+        nodes = [p.node for p in parts]
         cuts = np.cumsum([0] + [len(p.data) for p in parts])
+
         def bwd(g):
-            for p, start, stop in zip(parts, cuts, cuts[1:]):
-                _accum(p, g[start:stop], owned=False)
+            for pn, start, stop in zip(nodes, cuts, cuts[1:]):
+                _accum(pn, g[start:stop], owned=False)
         out._backward = bwd
     return out
 
@@ -360,8 +432,10 @@ def flip_w(a):
     """Mirror along the last (width) axis."""
     out = _node(a.data[..., ::-1].copy(), (a,), "flip_w")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, g[..., ::-1], owned=False)
+            _accum(an, g[..., ::-1], owned=False)
         out._backward = bwd
     return out
 
@@ -379,12 +453,13 @@ def shift2d(a, dy, dx):
         y[:, :, r0:r1, c0:c1] = a.data[:, :, r0 - dy:r1 - dy, c0 - dx:c1 - dx]
     out = _node(y, (a,), "shift2d")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                if r1 > r0 and c1 > c0:
-                    a.grad[:, :, r0 - dy:r1 - dy, c0 - dx:c1 - dx] += g[:, :, r0:r1, c0:c1]
+            if an.grad is None:
+                an.grad = np.zeros(an.shape, dtype=an.dtype)
+            if r1 > r0 and c1 > c0:
+                an.grad[:, :, r0 - dy:r1 - dy, c0 - dx:c1 - dx] += g[:, :, r0:r1, c0:c1]
         out._backward = bwd
     return out
 
@@ -394,8 +469,10 @@ def apply_mask(a, mask):
     m = np.asarray(mask, dtype=a.data.dtype)
     out = _node(a.data * m, (a,), "apply_mask")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            _accum(a, g * m)
+            _accum(an, g * m)
         out._backward = bwd
     return out
 
@@ -514,25 +591,31 @@ def _over_samples(fn, rows, *args):
 
 
 def relu(a):
+    """max(x, 0). A graph keeps only the bool mask y > 0, which equals
+    x > 0 for every x, NaN and -0 included."""
     x = a.data
     y = np.empty_like(x)
-    _over_samples(_relu_rows, (x, y))
+    if _records((a,)):
+        mask = np.empty(x.shape, dtype=bool)
+        _over_samples(_relu_rows, (x, y, mask))
+    else:
+        _over_samples(_relu_rows, (x, y))
     out = _node(y, (a,), "relu")
     if out.requires_grad:
+        an = a.node
+
         def bwd(g):
-            gx = np.empty_like(x, dtype=g.dtype)
-            _over_samples(_relu_grad_rows, (g, x, gx))
-            _accum(a, gx)
+            gx = np.empty(an.shape, dtype=g.dtype)
+            _over_samples(np.multiply, (g, mask, gx))
+            _accum(an, gx)
         out._backward = bwd
     return out
 
 
-def _relu_rows(x, y):
+def _relu_rows(x, y, mask=None):
     np.maximum(x, 0, out=y)
-
-
-def _relu_grad_rows(g, x, gx):
-    np.multiply(g, x > 0, out=gx)
+    if mask is not None:
+        np.greater(y, 0, out=mask)
 
 
 def _tap_span(k, pad, size, out):
@@ -573,14 +656,15 @@ def conv2d(x, w, pad=1):
         _over_samples(_conv2d_rows, (x.data, y), wmat, pad, step)
     out = _node(y.reshape(n, cout, ho, wo), (x, w), "conv2d")
     if out.requires_grad:
+        xn, wn = x.node, w.node
         wcols = cols.reshape(n, k, ho * wo) if keep else None
 
         def bwd(g):
             gm = g.reshape(n, cout, ho * wo)
-            if w.requires_grad:
-                _accum(w, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
-            if x.requires_grad:
-                _accum(x, _conv2d_input_grad(gm, wmat, x.data.shape, pad, ho, wo))
+            if wn is not None:
+                _accum(wn, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(wn.shape))
+            if xn is not None:
+                _accum(xn, _conv2d_input_grad(gm, wmat, xn.shape, pad, ho, wo))
         out._backward = bwd
     return out
 
@@ -648,20 +732,22 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     _over_samples(_instance_norm_rows, (x3, xc, istd, a, y), gamma.data, beta.data, eps)
     out = _node(y.reshape(n, c, h, w), (x, gamma, beta), "instance_norm")
     if out.requires_grad:
+        xn, gn, bn = x.node, gamma.node, beta.node
+
         def bwd(g):
             g3 = g.reshape(n, c, m)
             gxc = np.empty((n, c), dtype=np.result_type(g3, xc))  # sum of g * xc per plane
             rows = (g3, xc, istd, a, gxc)
-            if x.requires_grad:
+            if xn is not None:
                 gx = np.empty(g3.shape, dtype=np.result_type(g3, a))
                 rows += (gx,)
             _over_samples(_instance_norm_grad_rows, rows)
-            if gamma.requires_grad:
-                _accum(gamma, (gxc * istd).sum(axis=0))
-            if beta.requires_grad:
-                _accum(beta, g3.sum(axis=(0, 2)))
-            if x.requires_grad:
-                _accum(x, gx.reshape(n, c, h, w))
+            if gn is not None:
+                _accum(gn, (gxc * istd).sum(axis=0))
+            if bn is not None:
+                _accum(bn, g3.sum(axis=(0, 2)))
+            if xn is not None:
+                _accum(xn, gx.reshape(n, c, h, w))
         out._backward = bwd
     return out
 
@@ -757,10 +843,12 @@ def avgpool(x):
     _over_samples(_avgpool_rows, (x.data, y), ninth)
     out = _node(y, (x,), "avgpool")
     if out.requires_grad:
+        xn = x.node
+
         def bwd(g):
-            gx = np.empty(x.data.shape, dtype=np.result_type(g, ninth))
+            gx = np.empty(xn.shape, dtype=np.result_type(g, ninth))
             _over_samples(_avgpool_grad_rows, (g, gx), ninth)
-            _accum(x, gx)
+            _accum(xn, gx)
         out._backward = bwd
     return out
 
@@ -785,13 +873,17 @@ def linear(x, w, b):
         raise ShapeMismatch(f"linear: bias shape {b.data.shape} != ({w.data.shape[0]},)")
     out = _node(x.data @ w.data.T + b.data, (x, w, b), "linear")
     if out.requires_grad:
+        xn, wn, bn = x.node, w.node, b.node
+        xd = x.data if wn is not None else None  # only the weight gradient reads x
+        wd = w.data if xn is not None else None
+
         def bwd(g):
-            if x.requires_grad:
-                _accum(x, g @ w.data)
-            if w.requires_grad:
-                _accum(w, g.T @ x.data)
-            if b.requires_grad:
-                _accum(b, g.sum(axis=0))
+            if xn is not None:
+                _accum(xn, g @ wd)
+            if wn is not None:
+                _accum(wn, g.T @ xd)
+            if bn is not None:
+                _accum(bn, g.sum(axis=0))
         out._backward = bwd
     return out
 
@@ -813,10 +905,12 @@ def softmax_cross_entropy(logits, labels):
     loss = -logp[np.arange(n), y].mean()
     out = _node(np.asarray(loss, dtype=logits.data.dtype), (logits,), "softmax_xent")
     if out.requires_grad:
+        ln = logits.node
+
         def bwd(g):
             p = np.exp(logp)
             p[np.arange(n), y] -= 1
-            _accum(logits, g * p / n)
+            _accum(ln, g * p / n)
         out._backward = bwd
     return out
 

@@ -169,3 +169,25 @@ def matching_loss(params, reals, pixels, p=4.0, lam=0.01):
         T.backward(total)
         value += total.item()
     return value, syn.grad
+
+
+def one_draw_toy(spec):
+    """The standardized (train, test) images of a toy spec as one float64
+    noise draw per split added to the gathered float32 templates, then
+    standardized by whole-array expressions with the training statistics."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
+    shape = (spec.channels, spec.image_size, spec.image_size)
+    templates = rng.normal(0.0, 1.0, size=(spec.num_classes, *shape)).astype(np.float32)
+    labels = np.repeat(np.arange(spec.num_classes), spec.images_per_class)
+    splits, stats = [], None
+    for stream in (1, 2):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
+        noise = rng.normal(0.0, spec.noise_std, size=(labels.size, *shape))
+        raw = templates[labels] + noise.astype(np.float32)
+        if stats is None:
+            std = raw.std(axis=(0, 2, 3))
+            stats = (raw.mean(axis=(0, 2, 3)).astype(np.float32),
+                     np.where(std == 0, 1.0, std).astype(np.float32))
+        mean, std = stats
+        splits.append((raw - mean[None, :, None, None]) / std[None, :, None, None])
+    return splits

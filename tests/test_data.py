@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from attndistill import data
 from attndistill.data import (FormatError, ToySpec, gen_toy, load_cifar10,
                               load_mnist, toy_templates)
+
+from oracles import one_draw_toy
 
 
 def write_cifar(path, records):
@@ -120,6 +123,8 @@ def test_mnist_pad_and_crop(tmp_path):
     cropped = load_mnist(img, lab, stats=(np.zeros(1), np.ones(1)), resize_to=2)
     assert cropped.images.data.shape == (1, 1, 2, 2)
     assert np.all(cropped.images.data == 1.0)
+    for ds in (padded, cropped):
+        assert ds.images.data.flags.c_contiguous and ds.images.data.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,29 @@ def test_toy_zero_noise_equals_templates():
     raw = data.denormalize(train.images.data, train.mean, train.std)
     for i, lab in enumerate(train.labels):
         assert np.allclose(raw[i], templates[lab], atol=1e-5)
+
+
+@pytest.mark.parametrize("spec", [ToySpec(seed=9), ToySpec(3, 5, 6, channels=3, seed=2,
+                                                             noise_std=1.0)])
+def test_toy_class_blocks_equal_one_draw_per_split(spec):
+    train, test = gen_toy(spec)
+    for got, want in zip((train, test), one_draw_toy(spec)):
+        assert np.array_equal(got.images.data, want)
+        assert got.images.data.flags.c_contiguous and got.images.data.dtype == np.float32
+
+
+def test_toy_peak_memory_stays_near_its_splits():
+    """Both splits are built in place: gen_toy's traced peak stays within
+    1.5x the float32 bytes of the two splits, where one float64 draw per
+    split and whole-array copies took about 3.6x."""
+    spec = ToySpec(num_classes=8, images_per_class=64, image_size=32, channels=3)
+    tracemalloc.start()
+    try:
+        train, test = gen_toy(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (train.images.data.nbytes + test.images.data.nbytes)
 
 
 def test_toy_deterministic():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,3 +159,23 @@ def test_depth_validation():
     assert default_depth(32) == 3
     assert default_depth(64) == 4
     assert default_depth(128) == 5
+
+
+def test_a_synthetic_class_graph_holds_about_two_first_block_activations():
+    """After a grad forward and ``class_stats`` the graph holds what backward
+    reads: block 1's centred plane (one activation), its ReLU mask and
+    pooled features (a quarter each), and the smaller blocks' share. A graph
+    that kept every op's output held about 6.2 activations."""
+    cfg = EncoderConfig(depth=3, width=32, input_channels=3, input_size=32, num_classes=2)
+    params = sample_params(cfg, 1)
+    x = Tensor(np.random.default_rng(35).normal(size=(10, 3, 32, 32)).astype(np.float32),
+               requires_grad=True)
+    activation = 10 * 32 * 32 * 32 * 4
+    tracemalloc.start()
+    try:
+        stats = class_stats([forward(params, x)], 4.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * activation
+    assert stats.feature.requires_grad

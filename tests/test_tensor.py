@@ -1,5 +1,7 @@
+import inspect
 import threading
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -343,19 +345,19 @@ def test_tensor_consumed_twice_gets_the_sum_in_its_own_buffer(case):
     root = T.sum_all(T.mul(out, t64(g)))
     # backward drops each intermediate .grad once it has run, so catch every
     # node's incoming gradient as its backward is called
-    inner = [node for node in T._topo_order(root) if node._backward is not None]
+    inner = [node for node in T._topo_order(root.node) if node.backward is not None]
     received = {}
     for node in inner:
-        def spy(grad, node=node, bwd=node._backward):
+        def spy(grad, node=node, bwd=node.backward):
             received[id(node)] = (node, grad)
             bwd(grad)
-        node._backward = spy
+        node.backward = spy
     T.backward(root)
     assert np.array_equal(x.grad, expect)
     assert set(received) == {id(node) for node in inner}
-    grads = [*received.values(), (x, x.grad)]
+    grads = [*received.values(), (x.node, x.grad)]
     for i, (a, ga) in enumerate(grads):
-        assert ga.shape == a.data.shape and ga.dtype == a.data.dtype
+        assert ga.shape == a.shape and ga.dtype == a.dtype
         for _, gb in grads[i + 1:]:
             assert not np.shares_memory(ga, gb)
 
@@ -398,6 +400,40 @@ def test_backward_frees_each_gradient_once_its_parents_have_theirs():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * x.data.nbytes
+
+
+def _owner(arr):
+    """The array that owns the memory of ``arr``."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_a_graph_holds_no_op_output():
+    """The outputs of a recorded conv2d -> instance_norm -> relu that the
+    caller drops are freed while the graph lives; backward still gives the
+    input gradient of the same chain run with every output kept."""
+    rng = np.random.default_rng(34)
+    x0 = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+    w, gamma, beta, g = (Tensor(rng.normal(size=s).astype(np.float32))
+                         for s in ((4, 3, 3, 3), (4,), (4,), (2, 4, 6, 6)))
+
+    def chain(x):
+        y = T.conv2d(x, w)
+        z = T.instance_norm(y, gamma, beta)
+        return y, z, T.relu(z)
+
+    x_kept = Tensor(x0, requires_grad=True)
+    kept = chain(x_kept)
+    T.backward(T.sum_all(T.mul(kept[2], g)))
+
+    x = Tensor(x0, requires_grad=True)
+    y, z, r = chain(x)
+    outputs = [weakref.ref(_owner(t.data)) for t in (y, z)]
+    del y, z
+    assert [ref() is None for ref in outputs] == [True, True]
+    T.backward(T.sum_all(T.mul(r, g)))
+    assert np.array_equal(x.grad, x_kept.grad)
 
 
 def test_broadcast_gradient_takes_the_layout_of_its_tensor():
@@ -536,6 +572,57 @@ def test_gradients_match_finite_differences(name, dtype, h, tol):
     T.backward(T.sum_all(T.mul(out, Tensor(weight.astype(dtype)))))
     num = fd_gradient(f64, x0, h)
     assert max_rel_err(x.grad, num, floor=1e-4 * max(np.abs(num).max(), 1e-12)) < tol, name
+
+
+# ---------------------------------------------------------------------------
+# the backward hook: an op's output exposes its node's closure as
+# ``_backward``, and a wrapper assigned to it runs in its place (the
+# benchmark's tracer times every op's backward this way)
+
+HOOK_CASES = {
+    **{name: case for name, case in OPS.items() if hasattr(T, name)},
+    "l2_normalize_rows": OPS["l2norm"],
+    "sum_all": (lambda t, c: T.sum_all(t), (2, 3)),
+    "flatten2d": (lambda t, c: T.flatten2d(t), (2, 3, 4)),
+    "slice_rows": (lambda t, c: T.slice_rows(t, 1, 3), (4, 3)),
+    "softmax_cross_entropy": (lambda t, c: T.softmax_cross_entropy(t, np.array([0, 3, 1])),
+                              (3, 4)),
+}
+
+
+def test_every_public_op_has_a_hook_case():
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_")}
+    assert set(HOOK_CASES) == public - {"no_grad", "backward", "sgd_momentum_step"}
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_CASES))
+def test_an_assigned_backward_hook_runs_the_ops_backward(name):
+    op, shape = HOOK_CASES[name]
+    consts = _constants(np.random.default_rng(99), np.float64)
+    x0 = np.random.default_rng(5).normal(size=shape)
+
+    def run(wrap):
+        x = Tensor(x0, requires_grad=True)
+        out = op(x, consts)
+        assert callable(out._backward)
+        calls = []
+        if wrap:
+            inner = out._backward
+
+            def hook(g):
+                calls.append(g.shape)
+                inner(g)
+            out._backward = hook
+        weight = np.random.default_rng(7).normal(size=out.data.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(weight))))
+        return x.grad, calls, out.data.shape
+
+    plain, none, _ = run(False)
+    hooked, calls, shape_out = run(True)
+    assert none == [] and calls == [shape_out]
+    assert np.array_equal(hooked, plain)
 
 
 # ---------------------------------------------------------------------------
