@@ -55,16 +55,12 @@ def main():
         if isinstance(what, str):
             res = benchmark.run_pipeline(what, train, test, eval_config=eval_cfg)
         else:
-            config = what or benchmark.distill_config()
-            last = [None]
-
-            def sink(i, brk, last=last):
-                last[0] = brk
+            def sink(i, brk):
                 if i % 200 == 0:
                     print(f"  [{label}] iter {i}: total {brk.total:.5f} "
                           f"(sam {brk.l_sam:.5f}, mmd {brk.l_mmd:.5f})")
 
-            res = benchmark.run_pipeline(label, train, test, config=config, sink=sink,
+            res = benchmark.run_pipeline(label, train, test, config=what, sink=sink,
                                          eval_config=eval_cfg)
         results.append((label, res, time.time() - t0))
         accs = " ".join(f"{a:.3f}" for a in res.accuracies)

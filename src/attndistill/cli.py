@@ -222,11 +222,26 @@ def cmd_distill(args):
     return 0
 
 
+def _manifest_stats(manifest, channels):
+    """The manifest's normalization (mean, std) as float64 arrays, or None
+    when it records none; each holds one finite number per channel, std > 0."""
+    if "stats" not in manifest:
+        return None
+    stats = manifest["stats"]
+    try:
+        mean, std = (np.asarray(stats[key], dtype=np.float64) for key in ("mean", "std"))
+    except (KeyError, TypeError, ValueError):
+        mean = std = np.empty(0)
+    if not (mean.shape == std.shape == (channels,) and np.isfinite(mean).all()
+            and (np.isfinite(std) & (std > 0)).all()):
+        raise ValueError(f"manifest stats {stats!r} are not a finite mean and a "
+                         f"positive std for each of {channels} channels")
+    return mean, std
+
+
 def cmd_eval(args):
     syn, manifest = read_synthetic(args.syn)
-    stats = None
-    if "stats" in manifest:
-        stats = (manifest["stats"]["mean"], manifest["stats"]["std"])
+    stats = _manifest_stats(manifest, syn.images.data.shape[1])
     toy = None
     if _dataset_format(args) == "toy" and "toy" in manifest.get("dataset", {}):
         toy = data.ToySpec(**manifest["dataset"]["toy"])
@@ -256,18 +271,14 @@ def cmd_export(args):
     count, c, h, w = syn.images.data.shape
     ipc = syn.ipc
     k = syn.num_classes
-    mean = np.asarray(manifest.get("stats", {}).get("mean", [0.0] * c), dtype=np.float64)
-    std = np.asarray(manifest.get("stats", {}).get("std", [1.0] * c), dtype=np.float64)
+    stats = _manifest_stats(manifest, c)
+    mean, std = stats if stats is not None else (np.zeros(c), np.ones(c))
     raw = data.denormalize(syn.images.data, mean, std)
     if c == 1:
         raw = np.repeat(raw, 3, axis=1)
     elif c != 3:
         raise ValueError(f"cannot export {c}-channel images as PPM")
-    grid = np.zeros((k * h, ipc * w, 3), dtype=np.float64)
-    for cls in range(k):
-        for j in range(ipc):
-            img = raw[cls * ipc + j].transpose(1, 2, 0)
-            grid[cls * h:(cls + 1) * h, j * w:(j + 1) * w] = img
+    grid = raw.reshape(k, ipc, 3, h, w).transpose(0, 3, 1, 4, 2).reshape(k * h, ipc * w, 3)
     bytes_img = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
     header = f"P6\n{ipc * w} {k * h}\n255\n".encode("ascii")
     Path(args.out).write_bytes(header + bytes_img.tobytes())

@@ -103,7 +103,7 @@ def load_cifar10(paths, stats=None):
                               offset=i * CIFAR_RECORD)
         chunks.append(rec[:, 1:].reshape(n, 3, 32, 32))
         labels.append(lab)
-    raw = np.concatenate(chunks).astype(np.float32) / 255.0
+    raw = np.divide(np.concatenate(chunks), 255.0, dtype=np.float32)  # one float32 array
     return _build_index(raw, np.concatenate(labels), 10, stats)
 
 
@@ -151,7 +151,7 @@ def load_mnist(images_path, labels_path, stats=None, resize_to=None):
         raise FormatError(f"{labels_path}: label {int(labels[i])} > 9 at record {i}",
                           offset=8 + i)
 
-    raw = pixels.astype(np.float32) / 255.0
+    raw = np.divide(pixels, 255.0, dtype=np.float32)  # one float32 array
     if resize_to is not None and resize_to != rows:
         raw = _resize_square(raw, resize_to)
     return _build_index(raw, labels, 10, stats)

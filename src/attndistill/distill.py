@@ -115,7 +115,7 @@ def init_synthetic(dataset, ipc, strategy, seed, dtype=np.float32):
                 raise ValueError(f"unknown init strategy {strategy!r}")
             images[cls * ipc:(cls + 1) * ipc] = dataset.images.data[pick]
     labels = np.repeat(np.arange(k), ipc)
-    return SyntheticSet(images=Tensor(images, requires_grad=True), labels=labels, ipc=ipc)
+    return SyntheticSet(images=Tensor(images), labels=labels, ipc=ipc)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,15 @@ def distill_step(state, iteration):
     """One optimization step over all classes; returns the loss breakdown.
 
     Each class is matched against constant real-side targets, embedded in
-    chunks with no graph, so its loss touches only its own slice of the
-    synthetic images: its gradient is taken and its graph released before
-    the next class is embedded. The class loop runs in one ``T.parallel``
-    block, sized by the synthetic batch of a class (a real chunk is never
-    larger); the pixel update after it does not.
+    chunks with no graph, so its loss reads only its own rows of the
+    synthetic images, which enter the graph as a leaf of their own. Right
+    after the class's backward its graph is released and those rows and
+    their velocity take the SGD-momentum step, before the next class is
+    embedded. The class loop runs in one ``T.parallel`` block, sized by the
+    synthetic batch of a class (a real chunk is never larger).
+
+    A ``DistillError`` at class k leaves classes 0..k-1 stepped; after a
+    non-finite loss, class k's rows are as they were.
     """
     cfg = state.config
     syn = state.syn
@@ -174,8 +178,10 @@ def distill_step(state, iteration):
                 raise DistillError(f"class {cls} has no real images")
             pick = rng_batch.choice(idx, size=take, replace=False)
             real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
+            rows = slice(cls * cfg.ipc, (cls + 1) * cfg.ipc)
+            pixels = Tensor(syn.images.data[rows], requires_grad=True)  # a view: steps in place
             draw = draw_augment(cfg.augment, h, w, rng_aug)
-            real_a, syn_a = siamese_augment(real, syn.class_slice(cls), cfg.augment, draw)
+            real_a, syn_a = siamese_augment(real, pixels, cfg.augment, draw)
             with T.no_grad():
                 target = losses.class_stats(
                     (forward(params, Tensor(real_a.data[i:i + chunk]))
@@ -190,19 +196,18 @@ def distill_step(state, iteration):
             if cfg.use_mmd:
                 mmd = losses.mmd_loss(target, stats)
             if not (np.isfinite(sam.data) and np.isfinite(mmd.data)):
-                syn.images.grad = None
                 raise DistillError(f"non-finite loss at iteration {iteration}, class {cls}")
             T.backward(losses.total_loss(sam, mmd, cfg.lam))
             l_sam = l_sam + sam.data
             l_mmd = l_mmd + mmd.data
             del stats, target, sam, mmd, syn_a, real_a, real
-
-    if syn.images.grad is None:
-        syn.images.grad = np.zeros_like(syn.images.data)
-    T.sgd_momentum_step(syn.images, state.velocity, cfg.lr_images,
-                        cfg.image_momentum, cfg.weight_decay_images)
-    if not np.isfinite(syn.images.data).all():
-        raise DistillError(f"non-finite synthetic pixels after iteration {iteration}")
+            if pixels.grad is None:  # the loss has no path to the pixels
+                pixels.grad = np.zeros_like(pixels.data)
+            T.sgd_momentum_step(pixels, Tensor(state.velocity.data[rows]), cfg.lr_images,
+                                cfg.image_momentum, cfg.weight_decay_images)
+            if not np.isfinite(pixels.data).all():
+                raise DistillError(
+                    f"non-finite synthetic pixels after iteration {iteration}, class {cls}")
     l_sam, l_mmd = float(l_sam), float(l_mmd)
     return LossBreakdown(l_sam=l_sam, l_mmd=l_mmd, total=l_sam + cfg.lam * l_mmd,
                          per_layer=per_layer)

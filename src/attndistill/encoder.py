@@ -132,7 +132,7 @@ def forward(params, images):
     x = images
     features = []
     for blk in params.blocks:
-        x = T.conv2d(x, blk.conv_w, pad=1)
+        x = T.conv2d(x, blk.conv_w)
         x = T.instance_norm(x, blk.gamma, blk.beta)
         x = T.relu(x)
         x = T.avgpool(x)

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .tensor import Tensor
 
 MAGIC = b"DDS1"
@@ -28,18 +27,18 @@ class SynFileError(ValueError):
 
 @dataclass
 class SyntheticSet:
-    """The learnable images plus their fixed class labels."""
+    """The learnable images plus their fixed class labels.
 
-    images: Tensor            # (K * ipc, C, H, W), requires_grad
+    The images carry no graph node: a distillation step wraps each class's
+    rows in a leaf of its own and steps them in place."""
+
+    images: Tensor            # (K * ipc, C, H, W)
     labels: np.ndarray        # (K * ipc,), class-major, never updated
     ipc: int
 
     @property
     def num_classes(self):
         return self.images.data.shape[0] // self.ipc
-
-    def class_slice(self, k):
-        return T.slice_rows(self.images, k * self.ipc, (k + 1) * self.ipc)
 
 
 @dataclass
@@ -130,6 +129,5 @@ def read_synthetic(path):
         raise SynFileError(f"{path}: manifest is not UTF-8 JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise SynFileError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
-    syn = SyntheticSet(images=Tensor(pixels.copy(), requires_grad=True),
-                       labels=labels, ipc=ipc)
+    syn = SyntheticSet(images=Tensor(pixels.copy()), labels=labels, ipc=ipc)
     return syn, manifest

@@ -79,8 +79,8 @@ class Tensor:
 
     __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -390,20 +390,6 @@ def flatten2d(a):
     return reshape(a, (a.data.shape[0], -1))
 
 
-def slice_rows(a, start, stop):
-    """Contiguous slice along axis 0; gradients scatter back into the rows."""
-    out = _node(a.data[start:stop].copy(), (a,), "slice_rows")
-    if out.requires_grad:
-        an = a.node
-
-        def bwd(g):
-            if an.grad is None:
-                an.grad = np.zeros(an.shape, dtype=an.dtype)
-            an.grad[start:stop] += g
-        out._backward = bwd
-    return out
-
-
 def concat_rows(parts):
     """Join tensors along axis 0; a single part is returned as it is. Each
     part's gradient is its own rows of the output's."""
@@ -618,20 +604,19 @@ def _relu_rows(x, y, mask=None):
         np.greater(y, 0, out=mask)
 
 
-def _tap_span(k, pad, size, out):
-    """Where kernel tap ``k`` of a stride-1 conv reads inside the input: the
-    output positions [o0, o1) and the input position o0 + k - pad they start at."""
-    o0 = max(0, pad - k)
-    o1 = min(out, size + pad - k)
-    return o0, o1, o0 + k - pad
+def _tap_spans(size):
+    """Where each tap k of the same-padded 3x3 conv reads along an axis of
+    ``size``: the output positions [o0, o1) and the input position o0 + k - 1
+    they start at."""
+    return [(1, size, 0), (0, size, 0), (0, size - 1, 1)]
 
 
-def conv2d(x, w, pad=1):
-    """3x3 cross-correlation with zero padding, stride 1, no bias.
+def conv2d(x, w):
+    """3x3 cross-correlation with zero padding 1, stride 1, no bias.
 
-    x: (N, Cin, H, W), w: (Cout, Cin, 3, 3) -> (N, Cout, H, W) for pad=1.
+    x: (N, Cin, H, W), w: (Cout, Cin, 3, 3) -> (N, Cout, H, W).
     Implemented as im2col + one GEMM per sample: the column buffer is
-    (N, Cin*9, Ho*Wo), so ``W @ cols`` writes NCHW directly. The columns are
+    (N, Cin*9, H*W), so ``W @ cols`` writes NCHW directly. The columns are
     built whole only when the weight gradient keeps them; otherwise, and for
     the input gradient, in sample groups of at most GROUP_BUDGET elements.
     """
@@ -644,69 +629,66 @@ def conv2d(x, w, pad=1):
             f"conv2d: input channels {x.data.shape[1]} != weight channels {w.data.shape[1]}")
     n, cin, h, wd = x.data.shape
     cout = w.data.shape[0]
-    ho, wo = h + 2 * pad - 2, wd + 2 * pad - 2
     k = cin * 9
     keep = _records((x, w)) and w.requires_grad  # only the weight gradient reads the columns
-    step = max(n, 1) if keep else _group_size(k * ho * wo)
+    step = max(n, 1) if keep else _group_size(k * h * wd)
     wmat = w.data.reshape(cout, k)
-    y = np.empty((n, cout, ho * wo), dtype=np.result_type(wmat, x.data))
+    y = np.empty((n, cout, h * wd), dtype=np.result_type(wmat, x.data))
     if keep:
-        cols = _conv2d_rows(x.data, y, wmat, pad, step)
+        cols = _conv2d_rows(x.data, y, wmat, step)
     else:
-        _over_samples(_conv2d_rows, (x.data, y), wmat, pad, step)
-    out = _node(y.reshape(n, cout, ho, wo), (x, w), "conv2d")
+        _over_samples(_conv2d_rows, (x.data, y), wmat, step)
+    out = _node(y.reshape(n, cout, h, wd), (x, w), "conv2d")
     if out.requires_grad:
         xn, wn = x.node, w.node
-        wcols = cols.reshape(n, k, ho * wo) if keep else None
+        wcols = cols.reshape(n, k, h * wd) if keep else None
 
         def bwd(g):
-            gm = g.reshape(n, cout, ho * wo)
+            gm = g.reshape(n, cout, h * wd)
             if wn is not None:
                 _accum(wn, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(wn.shape))
             if xn is not None:
-                _accum(xn, _conv2d_input_grad(gm, wmat, xn.shape, pad, ho, wo))
+                _accum(xn, _conv2d_input_grad(gm, wmat, xn.shape))
         out._backward = bwd
     return out
 
 
-def _conv2d_rows(x, y, wmat, pad, step):
+def _conv2d_rows(x, y, wmat, step):
     """``y = W @ cols(x)`` in sample groups of ``step``, with its own padded
     input and column buffers; returns the columns of the last group."""
     n, cin, h, wd = x.shape
-    ho, wo = h + 2 * pad - 2, wd + 2 * pad - 2
     k = cin * 9
-    xp = np.zeros((min(n, step), cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    cols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=x.dtype)
+    xp = np.zeros((min(n, step), cin, h + 2, wd + 2), dtype=x.dtype)
+    cols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=x.dtype)
     for s in range(0, n, step):
         m = min(step, n - s)
-        xp[:m, :, pad:pad + h, pad:pad + wd] = x[s:s + m]  # the border stays zero
-        win = sliding_window_view(xp[:m], (3, 3), axis=(2, 3))  # (m, Cin, ho, wo, 3, 3)
+        xp[:m, :, 1:1 + h, 1:1 + wd] = x[s:s + m]  # the border stays zero
+        win = sliding_window_view(xp[:m], (3, 3), axis=(2, 3))  # (m, Cin, h, wd, 3, 3)
         np.copyto(cols[:m], win.transpose(0, 1, 4, 5, 2, 3))
-        np.matmul(wmat, cols[:m].reshape(m, k, ho * wo), out=y[s:s + m])
+        np.matmul(wmat, cols[:m].reshape(m, k, h * wd), out=y[s:s + m])
     return cols
 
 
-def _conv2d_input_grad(gm, wmat, shape, pad, ho, wo):
-    """dX of ``conv2d`` from the output gradient gm: (N, Cout, Ho*Wo).
+def _conv2d_input_grad(gm, wmat, shape):
+    """dX of ``conv2d`` from the output gradient gm: (N, Cout, H*W).
 
     Per sample group, the columns W^T @ g are built and each of the nine taps
-    is added, clipped to the image, straight into the unpadded dX.
+    is added, clipped to the image, straight into dX.
     """
     dx = np.zeros(shape, dtype=np.result_type(wmat, gm))
-    _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat, pad, ho, wo)
+    _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat)
     return dx
 
 
-def _conv2d_input_grad_rows(gm, dx, wmat, pad, ho, wo):
+def _conv2d_input_grad_rows(gm, dx, wmat):
     n, cin, h, wd = dx.shape
-    step = _group_size(cin * 9 * ho * wo)
-    gcols = np.empty((min(n, step), cin, 3, 3, ho, wo), dtype=dx.dtype)
-    row_spans = [_tap_span(ki, pad, h, ho) for ki in range(3)]
-    col_spans = [_tap_span(kj, pad, wd, wo) for kj in range(3)]
+    step = _group_size(cin * 9 * h * wd)
+    gcols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=dx.dtype)
+    row_spans, col_spans = _tap_spans(h), _tap_spans(wd)
     for s in range(0, n, step):
         m = min(step, n - s)
         gc = gcols[:m]
-        np.matmul(wmat.T, gm[s:s + m], out=gc.reshape(m, cin * 9, ho * wo))
+        np.matmul(wmat.T, gm[s:s + m], out=gc.reshape(m, cin * 9, h * wd))
         dg = dx[s:s + m]
         for ki, (r0, r1, i0) in enumerate(row_spans):
             for kj, (c0, c1, j0) in enumerate(col_spans):

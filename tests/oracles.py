@@ -154,21 +154,24 @@ def matching_loss(params, reals, pixels, p=4.0, lam=0.01):
     ``distill_step`` and no augmentation: class k matches the real batch
     ``reals[k]`` against synthetic image k of ``pixels`` (one image per
     class, in the precision of ``params``), and each class's gradient is
-    taken on its own. Returns the loss summed over classes and the gradient
-    with respect to the synthetic images."""
+    taken on its own leaf, a view of its rows. Returns the loss summed over
+    classes and the gradient with respect to the synthetic images."""
     dtype = params.fc_w.data.dtype
     shape = (len(reals),) + reals[0].data.shape[1:]
-    syn = Tensor(np.asarray(pixels, dtype=dtype).reshape(shape), requires_grad=True)
+    images = np.asarray(pixels, dtype=dtype).reshape(shape)
+    grad = np.empty_like(images)
     value = 0.0
     for k, real in enumerate(reals):
         with T.no_grad():
             target = losses.class_stats([forward(params, real)], p)
-        stats = losses.class_stats([forward(params, T.slice_rows(syn, k, k + 1))], p)
+        leaf = Tensor(images[k:k + 1], requires_grad=True)
+        stats = losses.class_stats([forward(params, leaf)], p)
         sam, _ = losses.sam_loss(target, stats)
         total = losses.total_loss(sam, losses.mmd_loss(target, stats), lam)
         T.backward(total)
+        grad[k:k + 1] = leaf.grad
         value += total.item()
-    return value, syn.grad
+    return value, grad
 
 
 def one_draw_toy(spec):

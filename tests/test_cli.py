@@ -32,8 +32,7 @@ def toy_distill_args(out, metrics=None, **over):
 def small_syn(k=2, ipc=2, c=1, h=8, w=8, seed=0):
     rng = np.random.default_rng(seed)
     return SyntheticSet(
-        images=Tensor(rng.normal(size=(k * ipc, c, h, w)).astype(np.float32),
-                      requires_grad=True),
+        images=Tensor(rng.normal(size=(k * ipc, c, h, w)).astype(np.float32)),
         labels=np.repeat(np.arange(k), ipc), ipc=ipc)
 
 
@@ -423,3 +422,51 @@ def test_cmd_export_zero_pixels_become_mid_gray(tmp_path):
     assert run_cli("export", "--syn", str(path), "--out", str(out)) == 0
     _, _, img = read_ppm(out)
     assert np.all(img == 128)  # denormalized 0.5 -> rint(127.5) = 128
+
+
+# ---------------------------------------------------------------------------
+# normalization stats in the manifest
+
+BAD_STATS = {
+    "nan-mean": {"mean": [float("nan")], "std": [0.5]},
+    "wrong-length": {"mean": [0.1, 0.2], "std": [0.5, 0.5]},
+    "zero-std": {"mean": [0.1], "std": [0.0]},
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("case", sorted(BAD_STATS))
+def test_bad_manifest_stats_exit_1_with_one_error_line(tmp_path, capsys, case, command):
+    """An MNIST-shaped set whose manifest stats are not one finite mean and
+    one positive std for its single channel is refused by both commands."""
+    import test_data
+    rng = np.random.default_rng(2)
+    images = rng.integers(0, 256, size=(10, 28, 28)).astype(np.uint8)
+    img, lab = test_data.write_mnist_pair(tmp_path, images, list(range(10)))
+    img.rename(tmp_path / "t10k-images-idx3-ubyte")
+    lab.rename(tmp_path / "t10k-labels-idx1-ubyte")
+    path = tmp_path / "syn.dds"
+    write_synthetic(path, small_syn(k=10, ipc=1, h=28, w=28), 10,
+                    manifest_stub(**BAD_STATS[case]))
+    if command == "eval":
+        argv = ["eval", "--syn", str(path), "--dataset", str(tmp_path), "--format", "mnist",
+                "--models", "1", "--epochs", "1"]
+    else:
+        argv = ["export", "--syn", str(path), "--out", str(tmp_path / "g.ppm")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "manifest stats" in err[0]
+    assert not (tmp_path / "g.ppm").exists()
+
+
+def test_manifest_without_stats_keeps_the_identity_for_export(tmp_path):
+    syn = small_syn(k=1, ipc=1, c=1)
+    syn.images.data[:] = 0.5
+    manifest = manifest_stub().to_dict()
+    del manifest["stats"]
+    path = tmp_path / "s.dds"
+    write_synthetic(path, syn, 1, manifest)
+    out = tmp_path / "s.ppm"
+    assert run_cli("export", "--syn", str(path), "--out", str(out)) == 0
+    _, _, img = read_ppm(out)
+    assert np.all(img == 128)

@@ -163,6 +163,31 @@ def test_toy_peak_memory_stays_near_its_splits():
     assert peak <= 1.5 * (train.images.data.nbytes + test.images.data.nbytes)
 
 
+@pytest.mark.parametrize("fmt", ["cifar10", "mnist"])
+def test_loader_peak_memory_stays_near_its_set(tmp_path, fmt):
+    """With given stats (the test split of ``eval``), a loader's traced peak
+    is the file's bytes and one float32 copy of the set: within 1.6x the
+    set's bytes, where scaling into a second float32 array took 2.25x."""
+    rng = np.random.default_rng(0)
+    n = 400
+    pixels = rng.integers(0, 256, size=(n, 3072 if fmt == "cifar10" else 784), dtype=np.uint8)
+    labels = list(rng.integers(0, 10, size=n))
+    if fmt == "cifar10":
+        path = write_cifar(tmp_path / "batch.bin", list(zip(labels, pixels)))
+        load, channels = (lambda stats: load_cifar10(path, stats=stats)), 3
+    else:
+        img, lab = write_mnist_pair(tmp_path, pixels.reshape(n, 28, 28), labels)
+        load, channels = (lambda stats: load_mnist(img, lab, stats=stats)), 1
+    stats = (np.full(channels, 0.5), np.full(channels, 0.25))
+    tracemalloc.start()
+    try:
+        ds = load(stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * ds.images.data.nbytes
+
+
 def test_toy_deterministic():
     spec = ToySpec(seed=9)
     a_train, a_test = gen_toy(spec)

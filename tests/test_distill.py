@@ -74,7 +74,7 @@ def test_init_noise_deterministic_and_balanced():
     b = init_synthetic(train, 3, "noise", seed=7)
     assert np.array_equal(a.images.data, b.images.data)
     assert list(a.labels) == [0, 0, 0, 1, 1, 1]
-    assert a.images.requires_grad
+    assert not a.images.requires_grad  # a step wraps each class's rows in a leaf of its own
 
 
 def test_init_random_selects_real_members():
@@ -266,19 +266,19 @@ def test_real_batch_is_embedded_in_budgeted_chunks(monkeypatch):
     assert calls == per_class * 2
 
 
-def _step_peak(monkeypatch, k):
-    """The ``tracemalloc`` peak of one ``distill_step`` over ``k`` classes of
-    ipc 1 (1x32x32, width 64, two real chunks per class's 8-image batch),
-    with augmentation off so that every class allocates alike, and the
-    bytes that each class adds to the step whatever the loop frees: its
-    pixel, velocity and gradient rows and the encoder's classifier rows."""
+def _step_peak(monkeypatch, k, ipc=1):
+    """The ``tracemalloc`` peak of one ``distill_step`` over ``k`` classes
+    (1x32x32, width 64, two real chunks per class's 8-image batch), with
+    augmentation off so that every class allocates alike, and the bytes of
+    one class's pixel rows and of its rows of the encoder's classifier,
+    which each step draws anew."""
     width, size = 64, 32
     monkeypatch.setattr(T, "GROUP_BUDGET", 4 * width * size * size)
     enc = EncoderConfig(depth=2, width=width, input_channels=1, input_size=size,
                         num_classes=k)
     train, _ = gen_toy(ToySpec(num_classes=k, images_per_class=8, image_size=size,
                                noise_std=0.3, seed=0))
-    state = make_state(quick_config(augment=AugmentSpec.none()), enc, train)
+    state = make_state(quick_config(ipc=ipc, augment=AugmentSpec.none()), enc, train)
     distill_step(state, 0)  # first calls allocate caches
     tracemalloc.start()
     try:
@@ -286,18 +286,29 @@ def _step_peak(monkeypatch, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_class = (3 * size * size + enc.classifier_in()) * np.dtype(np.float32).itemsize
-    return peak, per_class
+    itemsize = np.dtype(np.float32).itemsize
+    return peak, ipc * size * size * itemsize, enc.classifier_in() * itemsize
 
 
 def test_step_memory_does_not_grow_with_the_class_count(monkeypatch):
     """No class's joined real rows or synthetic graph outlive the class after
-    it, so the peak of a step grows with K only by the arrays of the pixels'
-    shape (pixels, velocity, gradient) and the encoder's classifier rows,
-    plus SLACK bytes of Python bookkeeping."""
+    it, so the peak of a step grows with K by at most three arrays of the
+    pixels' shape and the encoder's classifier rows, plus SLACK bytes of
+    Python bookkeeping."""
     SLACK = 16 << 10
-    (peak2, per_class), (peak8, _) = _step_peak(monkeypatch, 2), _step_peak(monkeypatch, 8)
-    assert peak8 - peak2 <= 6 * per_class + SLACK
+    (peak2, pixels, classifier), (peak8, _, _) = (_step_peak(monkeypatch, 2),
+                                                  _step_peak(monkeypatch, 8))
+    assert peak8 - peak2 <= 6 * (3 * pixels + classifier) + SLACK
+
+
+def test_step_holds_no_array_of_the_whole_set(monkeypatch):
+    """Each class steps its own rows in place, so at ipc 4 a step takes no
+    gradient or update temporary of all K x ipc pixels: six more classes add
+    their classifier rows and less than half their pixel rows each. A
+    whole-set gradient and ``lr * v`` would add two pixel rows a class."""
+    (peak2, pixels, classifier), (peak8, _, _) = (_step_peak(monkeypatch, 2, ipc=4),
+                                                  _step_peak(monkeypatch, 8, ipc=4))
+    assert peak8 - peak2 <= 6 * (classifier + pixels / 2)
 
 
 def test_a_class_is_released_before_the_next_is_embedded(monkeypatch):
@@ -305,8 +316,22 @@ def test_a_class_is_released_before_the_next_is_embedded(monkeypatch):
     bytes: the first class's real batch and synthetic graph are gone before
     the second class's real chunks are embedded."""
     SLACK = 16 << 10
-    (peak1, per_class), (peak2, _) = _step_peak(monkeypatch, 1), _step_peak(monkeypatch, 2)
-    assert peak2 - peak1 <= per_class + SLACK
+    (peak1, pixels, classifier), (peak2, _, _) = (_step_peak(monkeypatch, 1),
+                                                  _step_peak(monkeypatch, 2))
+    assert peak2 - peak1 <= 3 * pixels + classifier + SLACK
+
+
+def test_non_finite_loss_names_the_class_after_the_classes_before_it_stepped():
+    train, enc = toy_setup()
+    state = make_state(quick_config(ipc=2, init="noise"), enc, train)
+    state.syn.images.data[3, 0, 0, 0] = np.nan
+    before = state.syn.images.data.copy()
+    with pytest.raises(DistillError, match="non-finite loss at iteration 0, class 1"):
+        distill_step(state, 0)
+    after = state.syn.images.data
+    assert not np.array_equal(after[:2], before[:2])
+    assert np.array_equal(after[2:], before[2:], equal_nan=True)
+    assert not state.velocity.data[2:].any()
 
 
 def test_class_without_real_images_is_named():

@@ -452,14 +452,6 @@ def test_no_grad_suppresses_recording():
     assert x.grad is None
 
 
-def test_slice_rows_scatters_gradient():
-    x = t64(np.arange(12.0).reshape(4, 3), grad=True)
-    T.backward(T.scale(T.sum_all(T.slice_rows(x, 1, 3)), 2.0))
-    expect = np.zeros((4, 3))
-    expect[1:3] = 2.0
-    assert np.array_equal(x.grad, expect)
-
-
 def test_concat_rows_returns_one_part_as_it_is_and_rejects_mismatched_parts():
     x = t64(np.ones((2, 3)), grad=True)
     assert T.concat_rows([x]) is x
@@ -584,7 +576,6 @@ HOOK_CASES = {
     "l2_normalize_rows": OPS["l2norm"],
     "sum_all": (lambda t, c: T.sum_all(t), (2, 3)),
     "flatten2d": (lambda t, c: T.flatten2d(t), (2, 3, 4)),
-    "slice_rows": (lambda t, c: T.slice_rows(t, 1, 3), (4, 3)),
     "softmax_cross_entropy": (lambda t, c: T.softmax_cross_entropy(t, np.array([0, 3, 1])),
                               (3, 4)),
 }
