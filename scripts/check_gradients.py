@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Check the analytic pixel gradient of the full matching loss against
-central finite differences, at both precisions.
+central finite differences, at both precisions: the check of acceptance
+criterion 1 (``tests/oracles.py:matching_gradient_error``), with its setup
+as flags.
 
 Usage: python3 scripts/check_gradients.py [--classes 2] [--size 8] [--width 8]
 
@@ -17,9 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from attndistill.encoder import EncoderConfig, sample_params
-from attndistill.tensor import Tensor
-from oracles import fd_gradient, matching_loss, max_rel_err
+from oracles import matching_gradient_error
 
 
 def main():
@@ -31,27 +31,11 @@ def main():
     parser.add_argument("--seed", type=int, default=33)
     args = parser.parse_args()
 
-    cfg = EncoderConfig(depth=3, width=args.width, input_channels=1,
-                        input_size=args.size, num_classes=args.classes)
-    rng = np.random.default_rng(5)
-    real64 = [rng.normal(size=(args.batch, 1, args.size, args.size))
-              for _ in range(args.classes)]
-    pixels = rng.normal(size=(args.classes, 1, args.size, args.size)).ravel()
-
-    params64 = sample_params(cfg, args.seed, dtype=np.float64)
-    reals64 = [Tensor(r) for r in real64]
-
     failed = False
     for dtype, h, tol in ((np.float32, 1e-3, 1e-3), (np.float64, 1e-4, 1e-6)):
         t0 = time.time()
-        params = sample_params(cfg, args.seed, dtype=dtype)
-        reals = [Tensor(r.astype(dtype)) for r in real64]
-        _, grad = matching_loss(params, reals, pixels)
-        analytic = grad.ravel().astype(np.float64)
-        numeric = fd_gradient(lambda v: matching_loss(params64, reals64, v)[0], pixels, h)
-
-        gmax = max(np.abs(analytic).max(), np.abs(numeric).max())
-        worst = max_rel_err(analytic, numeric, floor=1e-4 * gmax)
+        worst = matching_gradient_error(dtype, h, args.classes, args.size, args.width,
+                                        args.batch, args.seed)
         verdict = "OK" if worst < tol else "TOO LARGE"
         print(f"{np.dtype(dtype).name:8s} max rel err {worst:.3e} "
               f"(tolerance {tol:g}) [{verdict}] in {time.time() - t0:.1f}s")

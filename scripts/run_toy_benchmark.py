@@ -3,9 +3,10 @@
 
 Distills a synthetic set on the benchmark toy dataset, evaluates it against
 the random-coreset and unoptimized-noise baselines plus the two single-loss
-ablations, all under one shared evaluation protocol.
+ablations, all under one shared evaluation protocol. Each pipeline is the one
+the acceptance gate runs (``benchmark.run_pipeline``).
 
-Usage: python3 scripts/run_toy_benchmark.py [--skip-ablations]
+Usage: python3 scripts/run_toy_benchmark.py [--skip-ablations] [--iters N] [--models N]
 """
 import argparse
 import dataclasses
@@ -22,46 +23,33 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--skip-ablations", action="store_true",
                         help="only run distilled vs the two selection baselines")
-    parser.add_argument("--iters", type=int, default=None,
-                        help="override the benchmark's distillation iterations")
-    parser.add_argument("--models", type=int, default=None,
-                        help="override the number of evaluation models")
+    parser.add_argument("--iters", type=int, default=benchmark.DISTILL_ITERATIONS,
+                        help="the distillation iterations")
+    parser.add_argument("--models", type=int, default=benchmark.EVAL.num_models,
+                        help="the number of evaluation models")
     args = parser.parse_args()
-
-    eval_cfg = benchmark.EVAL
-    if args.models is not None:
-        eval_cfg = dataclasses.replace(eval_cfg, num_models=args.models)
-    over = {} if args.iters is None else {"iterations": args.iters}
+    eval_cfg = dataclasses.replace(benchmark.EVAL, num_models=args.models)
 
     train, test = benchmark.load_benchmark_data()
     print(f"toy benchmark: {benchmark.TOY_SPEC}")
     print(f"encoder: {benchmark.ENCODER}")
     print(f"eval protocol: {eval_cfg}\n")
 
-    runs = [
-        ("distilled (joint)", benchmark.distill_config(**over)),
-        ("random coreset", "coreset"),
-        ("noise (unoptimized)", "noise"),
-    ]
+    runs = [("distilled (joint)", "joint"), ("random coreset", "coreset"),
+            ("noise (unoptimized)", "noise")]
     if not args.skip_ablations:
-        runs += [
-            ("attention-only", benchmark.distill_config(use_mmd=False, **over)),
-            ("feature-mean-only", benchmark.distill_config(use_sam=False, lam=1.0, **over)),
-        ]
+        runs += [("attention-only", "sam_only"), ("feature-mean-only", "mmd_only")]
 
     results = []
-    for label, what in runs:
-        t0 = time.time()
-        if isinstance(what, str):
-            res = benchmark.run_pipeline(what, train, test, eval_config=eval_cfg)
-        else:
-            def sink(i, brk):
-                if i % 200 == 0:
-                    print(f"  [{label}] iter {i}: total {brk.total:.5f} "
-                          f"(sam {brk.l_sam:.5f}, mmd {brk.l_mmd:.5f})")
+    for label, name in runs:
+        def sink(i, brk):
+            if i % 200 == 0:
+                print(f"  [{label}] iter {i}: total {brk.total:.5f} "
+                      f"(sam {brk.l_sam:.5f}, mmd {brk.l_mmd:.5f})")
 
-            res = benchmark.run_pipeline(label, train, test, config=what, sink=sink,
-                                         eval_config=eval_cfg)
+        t0 = time.time()
+        res = benchmark.run_pipeline(name, train, test, sink=sink, eval_config=eval_cfg,
+                                     iterations=args.iters)
         results.append((label, res, time.time() - t0))
         accs = " ".join(f"{a:.3f}" for a in res.accuracies)
         print(f"{label:22s} mean {res.mean:.3f}  models [{accs}]  ({time.time() - t0:.0f}s)\n")

@@ -12,8 +12,6 @@ weight decay 5e-4, halving every 15 epochs) still trains stably.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .data import ToySpec, gen_toy
 from .distill import DistillConfig, init_synthetic, run_distillation
 from .encoder import EncoderConfig
@@ -35,31 +33,30 @@ IPC = 10
 EVAL = EvalConfig(num_models=5, epochs=100, batch_size=8, augment=False, seed=0)
 
 
-def distill_config(**overrides):
-    base = dict(ipc=IPC, iterations=DISTILL_ITERATIONS, lr_images=DISTILL_LR,
-                seed=0, init="random", real_batch_per_class=64)
-    base.update(overrides)
-    return DistillConfig(**base)
+# The five pipelines: the joint objective and its two single-term ablations
+# distill (their DistillConfig overrides), the two selection baselines only
+# initialize (their init strategy).
+PIPELINES = {
+    "joint": dict(),
+    "sam_only": dict(use_mmd=False),
+    "mmd_only": dict(use_sam=False, lam=1.0),
+    "coreset": "random",
+    "noise": "noise",
+}
 
 
-@dataclass
-class BenchmarkResult:
-    name: str
-    mean: float
-    accuracies: list[float] = field(default_factory=list)
-
-
-def run_pipeline(name, train, test, config=None, sink=None, eval_config=EVAL):
-    """Distill (or select) a synthetic set and evaluate it under
-    ``eval_config``."""
-    if name == "coreset":
-        syn = init_synthetic(train, IPC, "random", seed=0)
-    elif name == "noise":
-        syn = init_synthetic(train, IPC, "noise", seed=0)
+def run_pipeline(name, train, test, sink=None, eval_config=EVAL,
+                 iterations=DISTILL_ITERATIONS):
+    """Distill (or select) the synthetic set of pipeline ``name`` and return
+    its ``EvalReport`` under ``eval_config``."""
+    what = PIPELINES[name]
+    if isinstance(what, str):
+        syn = init_synthetic(train, IPC, what, seed=0)
     else:
-        syn = run_distillation(config or distill_config(), ENCODER, train, sink=sink)
-    report = evaluate_synthetic(syn, ENCODER, test, eval_config)
-    return BenchmarkResult(name=name, mean=report.mean, accuracies=report.accuracies)
+        config = DistillConfig(ipc=IPC, iterations=iterations, lr_images=DISTILL_LR,
+                               seed=0, init="random", real_batch_per_class=64, **what)
+        syn = run_distillation(config, ENCODER, train, sink=sink)
+    return evaluate_synthetic(syn, ENCODER, test, eval_config)
 
 
 def load_benchmark_data():

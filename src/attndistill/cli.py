@@ -249,8 +249,11 @@ def cmd_eval(args):
     if test.num_classes != syn.num_classes:
         raise ValueError(f"the test set has {test.num_classes} classes, "
                          f"the synthetic set {syn.num_classes}")
-    enc = manifest.get("encoder", {})
     count, c, h, w = syn.images.data.shape
+    if test.image_shape != (c, h, w):
+        raise ValueError("the test images are {}x{}x{}, the synthetic images {}x{}x{}"
+                         .format(*test.image_shape, c, h, w))
+    enc = manifest.get("encoder", {})
     encoder_cfg = EncoderConfig(
         depth=args.depth if args.depth is not None else enc.get("depth", default_depth(h)),
         width=args.width if args.width is not None else enc.get("width", 128),

@@ -151,20 +151,18 @@ def load_mnist(images_path, labels_path, stats=None, resize_to=None):
         raise FormatError(f"{labels_path}: label {int(labels[i])} > 9 at record {i}",
                           offset=8 + i)
 
-    raw = np.divide(pixels, 255.0, dtype=np.float32)  # one float32 array
-    if resize_to is not None and resize_to != rows:
-        raw = _resize_square(raw, resize_to)
+    # The centred span of each axis is scaled straight into one zeroed float32
+    # array of the final size, so no second copy of the set is made.
+    shape = (rows, cols) if resize_to is None else (resize_to, resize_to)
+    raw = np.zeros((n, 1, *shape), dtype=np.float32)
+    src, dst = [], []
+    for cur, size in zip((rows, cols), shape):
+        span = min(cur, size)
+        src.append(slice((cur - span) // 2, (cur - span) // 2 + span))
+        dst.append(slice((size - span) // 2, (size - span) // 2 + span))
+    np.divide(pixels[:, :, src[0], src[1]], 255.0, out=raw[:, :, dst[0], dst[1]],
+              dtype=np.float32)
     return _build_index(raw, labels, 10, stats)
-
-
-def _resize_square(raw, size):
-    cur = raw.shape[2]
-    if size > cur:
-        pad = size - cur
-        lo, hi = pad // 2, pad - pad // 2
-        return np.pad(raw, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
-    off = (cur - size) // 2
-    return raw[:, :, off:off + size, off:off + size]
 
 
 # ---------------------------------------------------------------------------

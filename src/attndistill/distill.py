@@ -57,7 +57,7 @@ class DistillConfig:
             raise ValueError(f"rates out of range: {self}")
         if self.init not in ("random", "kcenter", "noise"):
             raise ValueError(f"unknown init strategy {self.init!r}")
-        if not (self.use_sam or self.use_mmd):
+        if not (self.use_mmd or (self.use_sam and (self.layers is None or len(self.layers)))):
             raise ValueError("at least one of the attention and feature-mean terms must be on")
         if self.lr_images is None:
             self.lr_images = 1.0 if self.ipc <= 50 else 10.0
@@ -201,8 +201,6 @@ def distill_step(state, iteration):
             l_sam = l_sam + sam.data
             l_mmd = l_mmd + mmd.data
             del stats, target, sam, mmd, syn_a, real_a, real
-            if pixels.grad is None:  # the loss has no path to the pixels
-                pixels.grad = np.zeros_like(pixels.data)
             T.sgd_momentum_step(pixels, Tensor(state.velocity.data[rows]), cfg.lr_images,
                                 cfg.image_momentum, cfg.weight_decay_images)
             if not np.isfinite(pixels.data).all():

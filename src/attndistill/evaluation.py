@@ -85,8 +85,6 @@ def train_classifier(syn, encoder_cfg, config, seed):
                 raise EvalError(f"non-finite training loss at epoch {epoch}")
             T.backward(loss)
             for p, v in zip(params.parameters(), velocities):
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
                 T.sgd_momentum_step(p, v, lr, config.momentum, config.weight_decay)
     return params
 

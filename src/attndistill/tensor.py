@@ -502,8 +502,9 @@ def _find_blas():
 _BLAS = _find_blas()
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # usable CPUs
-_pool = None  # the threads that run all parts but the first, made on first use
-_pool_lock = threading.Lock()
+# The threads that run all parts but the first; an executor starts none
+# before its first submit.
+_pool = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="tensor-part")
 
 
 class parallel:
@@ -550,14 +551,10 @@ def _over_samples(fn, rows, *args):
     every reduction across samples. An error in a part is raised once every
     part has finished.
     """
-    global _pool
     if not _modes.split or rows[0].ndim == 0 or len(rows[0]) < 2:
         return fn(*rows, *args)
     n = len(rows[0])
     parts = min(_WORKERS, n)
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tensor-part")
     cuts = [n * i // parts for i in range(parts + 1)]
 
     def part(i):
@@ -648,7 +645,9 @@ def conv2d(x, w):
             if wn is not None:
                 _accum(wn, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(wn.shape))
             if xn is not None:
-                _accum(xn, _conv2d_input_grad(gm, wmat, xn.shape))
+                dx = np.zeros(xn.shape, dtype=np.result_type(wmat, gm))
+                _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat)
+                _accum(xn, dx)
         out._backward = bwd
     return out
 
@@ -669,18 +668,10 @@ def _conv2d_rows(x, y, wmat, step):
     return cols
 
 
-def _conv2d_input_grad(gm, wmat, shape):
-    """dX of ``conv2d`` from the output gradient gm: (N, Cout, H*W).
-
-    Per sample group, the columns W^T @ g are built and each of the nine taps
-    is added, clipped to the image, straight into dX.
-    """
-    dx = np.zeros(shape, dtype=np.result_type(wmat, gm))
-    _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat)
-    return dx
-
-
 def _conv2d_input_grad_rows(gm, dx, wmat):
+    """Add the dX of ``conv2d`` from the output gradient gm: (N, Cout, H*W)
+    into dx. Per sample group, the columns W^T @ g are built and each of the
+    nine taps is added, clipped to the image, straight into dX."""
     n, cin, h, wd = dx.shape
     step = _group_size(cin * 9 * h * wd)
     gcols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=dx.dtype)

@@ -1,14 +1,15 @@
 """Independent reference implementations used to check the fast paths.
 
 The layer oracles are deliberately naive (nested loops, per-coordinate
-finite differences) and share no code with the package. The one exception
-is ``matching_loss``, the distillation objective that every gradient check
-of the full loss differentiates.
+finite differences) and share no code with the package. The exceptions
+are ``matching_loss``, the distillation objective that every gradient check
+of the full loss differentiates, and ``matching_gradient_error``, the one
+such check of acceptance criterion 1 and ``scripts/check_gradients.py``.
 """
 import numpy as np
 
 from attndistill import losses, tensor as T
-from attndistill.encoder import forward
+from attndistill.encoder import EncoderConfig, forward, sample_params
 from attndistill.tensor import Tensor
 
 
@@ -172,6 +173,29 @@ def matching_loss(params, reals, pixels, p=4.0, lam=0.01):
         grad[k:k + 1] = leaf.grad
         value += total.item()
     return value, grad
+
+
+def matching_gradient_error(dtype, h, classes=2, size=8, width=8, batch=4, seed=33):
+    """The largest relative error of ``matching_loss``'s analytic pixel
+    gradient in ``dtype`` against central finite differences of step ``h``
+    taken in float64, on a depth-3 encoder of ``seed`` with ``classes``
+    classes of ``batch`` real 1x``size``x``size`` images and one synthetic
+    image each. Entries below 1e-4 of the largest gradient entry are
+    compared on that floor."""
+    cfg = EncoderConfig(depth=3, width=width, input_channels=1, input_size=size,
+                        num_classes=classes)
+    rng = np.random.default_rng(5)
+    real64 = [rng.normal(size=(batch, 1, size, size)) for _ in range(classes)]
+    pixels = rng.normal(size=(classes, 1, size, size)).ravel()
+
+    params64 = sample_params(cfg, seed, dtype=np.float64)
+    reals64 = [Tensor(r) for r in real64]
+    params = sample_params(cfg, seed, dtype=dtype)
+    reals = [Tensor(r.astype(dtype)) for r in real64]
+    analytic = matching_loss(params, reals, pixels)[1].ravel().astype(np.float64)
+    numeric = fd_gradient(lambda v: matching_loss(params64, reals64, v)[0], pixels, h)
+    gmax = max(np.abs(analytic).max(), np.abs(numeric).max())
+    return max_rel_err(analytic, numeric, floor=1e-4 * gmax)
 
 
 def one_draw_toy(spec):

@@ -21,7 +21,7 @@ from attndistill.losses import attention_pool, class_stats, mmd_loss, sam_loss
 from attndistill.synfile import read_synthetic
 from attndistill.tensor import Tensor
 
-from oracles import (fd_gradient, matching_loss, max_rel_err, naive_attention_pool,
+from oracles import (matching_gradient_error, max_rel_err, naive_attention_pool,
                      naive_avgpool, naive_conv2d, naive_linear)
 from test_data import write_cifar, write_mnist_pair
 
@@ -47,26 +47,8 @@ def criterion(num, title):
 @criterion(1, "gradient correctness")
 def test_criterion_1_full_loss_gradient():
     start = time.monotonic()
-    cfg = EncoderConfig(depth=3, width=8, input_channels=1, input_size=8, num_classes=2)
-    rng = np.random.default_rng(5)
-    real64 = [rng.normal(size=(4, 1, 8, 8)) for _ in range(2)]
-    syn0 = rng.normal(size=(2, 1, 8, 8)).ravel()
-
-    params64 = sample_params(cfg, 33, dtype=np.float64)
-    reals64 = [Tensor(r) for r in real64]
-
-    def loss_value(v):
-        return matching_loss(params64, reals64, v)[0]
-
     for dtype, h, tol in ((np.float32, 1e-3, 1e-3), (np.float64, 1e-4, 1e-6)):
-        params = sample_params(cfg, 33, dtype=dtype)
-        reals = [Tensor(r.astype(dtype)) for r in real64]
-        _, grad = matching_loss(params, reals, syn0)
-        analytic = grad.ravel().astype(np.float64)
-        numeric = fd_gradient(loss_value, syn0, h)
-        gmax = max(np.abs(analytic).max(), np.abs(numeric).max())
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4 * gmax)
-        worst = float((np.abs(analytic - numeric) / denom).max())
+        worst = matching_gradient_error(dtype, h)
         assert worst < tol, f"{np.dtype(dtype).name}: max rel err {worst:.3e} >= {tol}"
     assert time.monotonic() - start < 60.0
 
@@ -180,14 +162,7 @@ def bench_results():
 
     def get(name):
         if name not in cache:
-            config = None
-            if name == "joint":
-                config = benchmark.distill_config()
-            elif name == "sam_only":
-                config = benchmark.distill_config(use_mmd=False)
-            elif name == "mmd_only":
-                config = benchmark.distill_config(use_sam=False, lam=1.0)
-            cache[name] = benchmark.run_pipeline(name, train, test, config=config)
+            cache[name] = benchmark.run_pipeline(name, train, test)
         return cache[name]
 
     return get

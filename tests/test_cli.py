@@ -233,7 +233,8 @@ def test_cmd_distill_cifar_fixture_end_to_end(tmp_path):
     assert code == 0
 
 
-def test_cmd_distill_mnist_fixture_end_to_end(tmp_path):
+def write_mnist_dir(tmp_path):
+    """An MNIST directory of 20 training and 10 test images of 28x28."""
     import test_data
     rng = np.random.default_rng(1)
     n = 20
@@ -245,6 +246,10 @@ def test_cmd_distill_mnist_fixture_end_to_end(tmp_path):
     timg, tlab = test_data.write_mnist_pair(tmp_path, images[:10], labels[:10])
     timg.rename(tmp_path / "t10k-images-idx3-ubyte")
     tlab.rename(tmp_path / "t10k-labels-idx1-ubyte")
+
+
+def test_cmd_distill_mnist_fixture_end_to_end(tmp_path):
+    write_mnist_dir(tmp_path)
     out = tmp_path / "m.dds"
     code = run_cli("distill", "--dataset", str(tmp_path), "--format", "mnist",
                    "--ipc", "1", "--iters", "1", "--width", "4",
@@ -311,6 +316,24 @@ def test_cmd_eval_class_count_mismatch_exits_1(tmp_path, capsys, extra):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "classes" in err[0]
+
+
+def test_cmd_eval_image_shape_mismatch_exits_1_before_training(tmp_path, capsys,
+                                                               monkeypatch):
+    write_mnist_dir(tmp_path)
+    out = tmp_path / "m.dds"
+    assert run_cli("distill", "--dataset", str(tmp_path), "--format", "mnist",
+                   "--mnist-pad", "32", "--ipc", "1", "--iters", "0", "--width", "4",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "evaluate_synthetic", lambda *a: calls.append(a))
+    code = run_cli("eval", "--syn", str(out), "--dataset", str(tmp_path),
+                   "--format", "mnist", "--models", "1", "--epochs", "1")
+    assert code == 1 and not calls
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "1x28x28" in err[0] and "1x32x32" in err[0]
 
 
 def _bad_labels(labels):

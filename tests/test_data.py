@@ -163,11 +163,14 @@ def test_toy_peak_memory_stays_near_its_splits():
     assert peak <= 1.5 * (train.images.data.nbytes + test.images.data.nbytes)
 
 
-@pytest.mark.parametrize("fmt", ["cifar10", "mnist"])
-def test_loader_peak_memory_stays_near_its_set(tmp_path, fmt):
+@pytest.mark.parametrize("fmt,resize_to", [("cifar10", None), ("mnist", None),
+                                            ("mnist", 32), ("mnist", 20)],
+                         ids=["cifar10", "mnist", "mnist-pad32", "mnist-crop20"])
+def test_loader_peak_memory_stays_near_its_set(tmp_path, fmt, resize_to):
     """With given stats (the test split of ``eval``), a loader's traced peak
     is the file's bytes and one float32 copy of the set: within 1.6x the
-    set's bytes, where scaling into a second float32 array took 2.25x."""
+    set's bytes, where scaling into a second float32 array took 2.25x, and
+    padding or cropping the scaled set 1.96x and 3.48x."""
     rng = np.random.default_rng(0)
     n = 400
     pixels = rng.integers(0, 256, size=(n, 3072 if fmt == "cifar10" else 784), dtype=np.uint8)
@@ -177,7 +180,7 @@ def test_loader_peak_memory_stays_near_its_set(tmp_path, fmt):
         load, channels = (lambda stats: load_cifar10(path, stats=stats)), 3
     else:
         img, lab = write_mnist_pair(tmp_path, pixels.reshape(n, 28, 28), labels)
-        load, channels = (lambda stats: load_mnist(img, lab, stats=stats)), 1
+        load, channels = (lambda stats: load_mnist(img, lab, stats, resize_to)), 1
     stats = (np.full(channels, 0.5), np.full(channels, 0.25))
     tracemalloc.start()
     try:

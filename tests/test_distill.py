@@ -397,3 +397,10 @@ def test_lr_default_resolution():
     assert DistillConfig(ipc=50).lr_images == 1.0
     assert DistillConfig(ipc=51).lr_images == 10.0
     assert DistillConfig(ipc=10, lr_images=0.5).lr_images == 0.5
+
+
+def test_attention_without_a_layer_and_no_mmd_is_rejected():
+    """An objective whose only term matches no layer has no path to the
+    pixels: it is refused like one with both terms off."""
+    with pytest.raises(ValueError, match="at least one"):
+        DistillConfig(ipc=1, use_sam=True, layers=(), use_mmd=False)

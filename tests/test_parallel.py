@@ -2,6 +2,8 @@
 thread count, error hand-off, and every public function on the calling thread."""
 import functools
 import inspect
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -269,3 +271,12 @@ def test_public_functions_run_on_the_calling_thread(split, monkeypatch):
             "class_stats"} <= {name for name, _ in seen}
     assert [name for name, t in seen if t != main] == []
     assert any(t != main for _, t in parts)
+
+
+def test_importing_the_engine_starts_no_thread():
+    """The part pool is made at import; its threads start on first use."""
+    code = ("import threading, attndistill.tensor; "
+            "assert threading.active_count() == 1, threading.enumerate()")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.returncode == 0, run.stderr
