@@ -46,6 +46,16 @@ def _parse_layers(text):
     return layers
 
 
+def _at_least_one(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True,
                    help="dataset path, or 'toy' for the synthetic toy generator")
@@ -56,7 +66,7 @@ def _add_dataset_flags(p):
     p.add_argument("--toy-size", type=int, default=8)
     p.add_argument("--toy-noise", type=float, default=0.3)
     p.add_argument("--toy-seed", type=int, default=0)
-    p.add_argument("--mnist-pad", type=int, default=None,
+    p.add_argument("--mnist-pad", type=_at_least_one, default=None,
                    help="center-crop/zero-pad MNIST images to this size")
 
 

@@ -57,12 +57,16 @@ class DistillConfig:
             raise ValueError(f"rates out of range: {self}")
         if self.init not in ("random", "kcenter", "noise"):
             raise ValueError(f"unknown init strategy {self.init!r}")
-        if not (self.use_mmd or (self.use_sam and (self.layers is None or len(self.layers)))):
-            raise ValueError("at least one of the attention and feature-mean terms must be on")
+        _require_a_term(self, self.use_sam and (self.layers is None or len(self.layers) > 0))
         if self.lr_images is None:
             self.lr_images = 1.0 if self.ipc <= 50 else 10.0
         if self.lr_images < 0:
             raise ValueError(f"image learning rate must be >= 0, got {self.lr_images}")
+
+
+def _require_a_term(cfg, attention_on):
+    if not (cfg.use_mmd or attention_on):
+        raise ValueError("at least one of the attention and feature-mean terms must be on")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,11 @@ class DistillState:
 
 
 def make_state(config, encoder_cfg, dataset, dtype=np.float32):
+    """The initial state of a run. Refuses, before any step, an objective
+    the encoder's depth leaves with no term, and attention layers outside
+    1..depth-1."""
+    layers = losses.select_layers(encoder_cfg.depth, config.layers if config.use_sam else ())
+    _require_a_term(config, len(layers) > 0)
     syn = init_synthetic(dataset, config.ipc, config.init, config.seed, dtype=dtype)
     return DistillState(
         syn=syn,
@@ -151,7 +160,8 @@ def distill_step(state, iteration):
     after the class's backward its graph is released and those rows and
     their velocity take the SGD-momentum step, before the next class is
     embedded. The class loop runs in one ``T.parallel`` block, sized by the
-    synthetic batch of a class (a real chunk is never larger).
+    larger first-block activation of a real chunk and a class's synthetic
+    batch: at ipc 1 and 10 the real chunk is the larger one.
 
     A ``DistillError`` at class k leaves classes 0..k-1 stepped; after a
     non-finite loss, class k's rows are as they were.
@@ -170,7 +180,8 @@ def distill_step(state, iteration):
     chunk = state.encoder.nograd_chunk()
     l_sam = l_mmd = zero.data
     per_layer = [0.0] * (state.encoder.depth - 1)
-    with T.parallel(cfg.ipc * state.encoder.width * h * w):  # a class's first activation
+    batch = max(min(chunk, cfg.real_batch_per_class), cfg.ipc)
+    with T.parallel(batch * state.encoder.width * h * w):  # the largest first activation
         for cls in range(syn.num_classes):
             idx = state.dataset.per_class[cls]
             take = min(cfg.real_batch_per_class, len(idx))

@@ -49,7 +49,10 @@ def _mse(a, b):
     return T.scale(T.sum_all(T.mul(d, d)), 1.0 / d.size)
 
 
-def _select_layers(depth, layers):
+def select_layers(depth, layers):
+    """The sorted distinct 1-based layers that attention matches in an
+    encoder of ``depth`` blocks (None: all of 1..depth-1); raises
+    ``ValueError`` outside 1..depth-1."""
     layers = sorted(set(int(l) for l in (range(1, depth) if layers is None else layers)))
     if layers and (layers[0] < 1 or layers[-1] > depth - 1):
         raise ValueError(f"layers {layers} outside 1..{depth - 1}")
@@ -68,7 +71,7 @@ def class_stats(traces, p, layers=None):
     """
     chunks = []
     for trace in traces:
-        chosen = _select_layers(len(trace.features), layers)
+        chosen = select_layers(len(trace.features), layers)
         chunks.append([T.l2_normalize_rows(T.flatten2d(attention_pool(trace.features[l - 1], p)),
                                            NORM_EPS)
                        for l in chosen] + [T.flatten2d(trace.features[-1])])

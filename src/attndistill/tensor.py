@@ -472,13 +472,17 @@ GROUP_BUDGET = 1 << 20
 the im2col columns of ``conv2d`` in forward and backward (unless it keeps
 them whole for the weight gradient) and a term of ``instance_norm``'s dX."""
 
-REGION_FLOOR = 1 << 22
+REGION_FLOOR = 960_000
 """Elements of a block's largest activation up to which ``parallel()``
 changes nothing. It is the only size that decides whether ops split: below
 it the hand-offs gain little, while every GEMM left unsplit loses its second
-BLAS thread. Distill steps at ipc 10 (10 images, width 128, 32 px: 1.3M
-elements) ran slower inside a block than outside it, at ipc 50 (6.6M) a
-quarter faster."""
+BLAS thread. On a 2-CPU machine, steps of the toy benchmark shape (width 32,
+16 px) ran 5-21% slower inside a block with 64 to 112 real images per class
+(524,288 to 917,504 elements). Steps whose real chunks reach 1,003,520
+elements (MNIST 28 px, width 128) or 1,048,576 (CIFAR 32 px, width 128)
+ran 10-21% faster at ipc 1 and 10, and at ipc 50 (6.6M) a quarter faster.
+The count alone does not tell them from a toy step with 128 real images
+(1,048,576 elements), which ran 10% slower inside."""
 
 
 def _group_size(per_sample):

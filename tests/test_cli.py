@@ -193,7 +193,9 @@ def test_cmd_distill_bad_aug_list_exits_2(tmp_path):
 @pytest.mark.parametrize("flags,words", [
     (["--lr", "-1"], "learning rate"),              # gradient ascent
     (["--no-sam", "--no-mmd"], "at least one"),     # an objective that is 0
-], ids=["negative-lr", "no-terms"])
+    (["--depth", "1", "--no-mmd"], "at least one"),  # no layer for attention to match
+    (["--depth", "2", "--layers", "2"], "outside 1..1"),
+], ids=["negative-lr", "no-terms", "depth-1-no-mmd", "layer-outside-depth"])
 def test_cmd_distill_wrong_objective_exits_1_with_one_error_line(tmp_path, capsys, flags,
                                                                  words):
     out = tmp_path / "x.dds"
@@ -208,6 +210,15 @@ def test_cmd_distill_empty_layer_list_exits_2(tmp_path, layers):
     with pytest.raises(SystemExit) as exc:
         run_cli(*toy_distill_args(tmp_path / "x.dds"), "--layers", layers)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("pad", ["0", "-4"])
+def test_cmd_distill_mnist_pad_below_one_exits_2(tmp_path, capsys, pad):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("distill", "--dataset", str(tmp_path), "--format", "mnist",
+                f"--mnist-pad={pad}", "--out", str(tmp_path / "x.dds"))
+    assert exc.value.code == 2
+    assert "--mnist-pad" in capsys.readouterr().err
 
 
 def test_cmd_distill_cifar_fixture_end_to_end(tmp_path):

@@ -222,11 +222,22 @@ def test_breakdown_per_layer_bookkeeping(layers):
     assert brk.total == brk.l_sam + state.config.lam * brk.l_mmd
 
 
-def test_step_rejects_layers_outside_intermediate():
+def test_make_state_rejects_layers_outside_intermediate():
     train, enc = toy_setup()
-    state = make_state(quick_config(layers=(enc.depth,)), enc, train)
-    with pytest.raises(ValueError):
-        distill_step(state, 0)
+    for layers in [(enc.depth,), (0, 1)]:
+        with pytest.raises(ValueError, match=f"outside 1..{enc.depth - 1}"):
+            make_state(quick_config(layers=layers), enc, train)
+    make_state(quick_config(layers=(enc.depth,), use_sam=False), enc, train)  # not matched
+
+
+def test_make_state_rejects_a_depth_that_leaves_no_term():
+    """At depth 1 attention has no intermediate layer, so without MMD the
+    objective is 0 and no pixel would get a gradient."""
+    train, enc = toy_setup()
+    enc = dataclasses.replace(enc, depth=1)
+    with pytest.raises(ValueError, match="at least one of the attention and feature-mean"):
+        make_state(quick_config(use_mmd=False), enc, train)
+    assert distill_step(make_state(quick_config(), enc, train), 0).l_sam == 0.0
 
 
 def test_no_attention_statistics_without_sam(monkeypatch):

@@ -20,9 +20,9 @@ from attndistill.tensor import Tensor
 
 
 @pytest.fixture
-def split(monkeypatch):
-    """Set the usable CPUs to ``workers`` with REGION_FLOOR at 0, and record
-    the (samples, thread) of every part that runs."""
+def parts(monkeypatch):
+    """Set the usable CPUs to ``workers``, and record the (samples, thread)
+    of every part that runs."""
     parts = []
     over_samples = T._over_samples
 
@@ -33,13 +33,19 @@ def split(monkeypatch):
         return over_samples(part, rows, *args)
 
     monkeypatch.setattr(T, "_over_samples", spy)
-    monkeypatch.setattr(T, "REGION_FLOOR", 0)
 
     def set_workers(workers):
         monkeypatch.setattr(T, "_WORKERS", workers)
         parts.clear()
         return parts
     return set_workers
+
+
+@pytest.fixture
+def split(parts, monkeypatch):
+    """``parts`` with REGION_FLOOR at 0."""
+    monkeypatch.setattr(T, "REGION_FLOOR", 0)
+    return parts
 
 
 @pytest.fixture
@@ -187,6 +193,42 @@ def test_region_without_blas_symbol_changes_nothing(split, monkeypatch):
         assert not T._modes.split
     assert _three_steps(np.float32) == one
     assert parts and all(t == threading.get_ident() for _, t in parts)
+
+
+# ---------------------------------------------------------------------------
+# the real REGION_FLOOR: the toy gate's steps stay whole, a CIFAR ipc-1 step splits
+
+
+def _steps(classes, channels, size, width, ipc, real, dtype, steps=1):
+    train, _ = gen_toy(ToySpec(num_classes=classes, images_per_class=real, image_size=size,
+                               channels=channels, noise_std=1.0, seed=0))
+    enc = EncoderConfig(depth=3, width=width, input_channels=channels, input_size=size,
+                        num_classes=classes)
+    state = make_state(DistillConfig(ipc=ipc, iterations=steps, real_batch_per_class=real,
+                                     seed=4), enc, train, dtype=dtype)
+    breakdowns = [distill_step(state, i) for i in range(steps)]
+    return state.syn.images.data.tobytes(), breakdowns
+
+
+def test_toy_gate_step_splits_no_op(parts, blas):
+    """4 classes of 1x16x16, width 32, ipc 10, 64 real images: the real
+    batch's first activation (64*32*16*16 elements) stays below the floor."""
+    seen = parts(2)
+    _steps(4, 1, 16, 32, 10, 64, np.float32)
+    assert seen and all(t == threading.get_ident() for _, t in seen)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cifar_ipc1_step_splits_by_its_real_chunk_bit_for_bit(parts, blas, dtype):
+    """One class of 3x32x32 at width 128, ipc 1, 8 real images: the synthetic
+    first activation (1*128*32*32 elements) is below the floor, the real
+    chunk's (8*128*32*32) above it, so the step's ops split."""
+    parts(1)
+    whole = _steps(1, 3, 32, 128, 1, 8, dtype, steps=2)
+    seen = parts(2)
+    pieces = _steps(1, 3, 32, 128, 1, 8, dtype, steps=2)
+    assert any(t != threading.get_ident() for _, t in seen)
+    assert pieces == whole
 
 
 # ---------------------------------------------------------------------------
