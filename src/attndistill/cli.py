@@ -56,15 +56,25 @@ def _at_least_one(text):
     return value
 
 
+def _finite_non_negative(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True,
                    help="dataset path, or 'toy' for the synthetic toy generator")
     p.add_argument("--format", choices=("cifar10", "mnist", "toy"), default=None,
                    help="dataset format (inferred as 'toy' when --dataset toy)")
-    p.add_argument("--toy-classes", type=int, default=4)
-    p.add_argument("--toy-per-class", type=int, default=64)
-    p.add_argument("--toy-size", type=int, default=8)
-    p.add_argument("--toy-noise", type=float, default=0.3)
+    p.add_argument("--toy-classes", type=_at_least_one, default=4)
+    p.add_argument("--toy-per-class", type=_at_least_one, default=64)
+    p.add_argument("--toy-size", type=_at_least_one, default=8)
+    p.add_argument("--toy-noise", type=_finite_non_negative, default=0.3)
     p.add_argument("--toy-seed", type=int, default=0)
     p.add_argument("--mnist-pad", type=_at_least_one, default=None,
                    help="center-crop/zero-pad MNIST images to this size")

@@ -61,7 +61,9 @@ class EncoderConfig:
         """Images per chunk of a no-grad pass: as many as keep the
         first-block activation within ``T.GROUP_BUDGET``, at least one. At
         width 128 and 32 px that is 8 images; the toy benchmark's 64-image
-        class batch (width 32, 16 px) stays one chunk."""
+        class batch (width 32, 16 px) stays one chunk. Each chunk is one
+        ``T.conv_blocks`` call, so inside ``T.parallel`` one hand-off to the
+        part threads per chunk."""
         return max(1, T.GROUP_BUDGET // (self.width * self.input_size ** 2))
 
 
@@ -84,6 +86,14 @@ class EncoderParams:
             yield from (blk.conv_w, blk.gamma, blk.beta)
         yield self.fc_w
         yield self.fc_b
+
+    def constant(self):
+        """The same arrays in tensors that need no gradient: a ``forward``
+        of constant images over them takes the ``T.conv_blocks`` path."""
+        blocks = [BlockParams(*(Tensor(t.data) for t in (b.conv_w, b.gamma, b.beta)))
+                  for b in self.blocks]
+        return EncoderParams(blocks=blocks, fc_w=Tensor(self.fc_w.data),
+                             fc_b=Tensor(self.fc_b.data), config=self.config)
 
 
 @dataclass
@@ -122,20 +132,30 @@ def sample_params(config, seed, dtype=np.float32, trainable=False):
 
 def forward(params, images):
     """Run a batch through the encoder, returning the post-pool feature map of
-    every block plus classifier logits."""
+    every block plus classifier logits.
+
+    When neither the images nor any parameter needs a gradient, no op can
+    record a graph in any grad mode, and the blocks run as one
+    ``T.conv_blocks`` call: the real-side chunks of a distillation step and
+    the scoring pass of an evaluation. Otherwise each block chains
+    ``conv2d``, ``instance_norm``, ``relu`` and ``avgpool``, whose outputs
+    ``conv_blocks`` equals bit for bit."""
     cfg = params.config
     shape = images.data.shape
     if len(shape) != 4 or shape[1] != cfg.input_channels or shape[2:] != (cfg.input_size,) * 2:
         raise T.ShapeMismatch(
             f"forward: images {shape} incompatible with "
             f"{cfg.input_channels}x{cfg.input_size}x{cfg.input_size} encoder")
-    x = images
-    features = []
-    for blk in params.blocks:
-        x = T.conv2d(x, blk.conv_w)
-        x = T.instance_norm(x, blk.gamma, blk.beta)
-        x = T.relu(x)
-        x = T.avgpool(x)
-        features.append(x)
-    logits = T.linear(T.flatten2d(x), params.fc_w, params.fc_b)
+    if images.requires_grad or any(p.requires_grad for p in params.parameters()):
+        x = images
+        features = []
+        for blk in params.blocks:
+            x = T.conv2d(x, blk.conv_w)
+            x = T.instance_norm(x, blk.gamma, blk.beta)
+            x = T.relu(x)
+            x = T.avgpool(x)
+            features.append(x)
+    else:
+        features = T.conv_blocks(images, [(b.conv_w, b.gamma, b.beta) for b in params.blocks])
+    logits = T.linear(T.flatten2d(features[-1]), params.fc_w, params.fc_b)
     return ForwardTrace(features=features, logits=logits)

@@ -91,18 +91,19 @@ def train_classifier(syn, encoder_cfg, config, seed):
 
 def test_accuracy(params, test_set):
     """Fraction of argmax-correct predictions; ties resolve to the lowest
-    class index. Scored in no-grad chunks sized by the encoder's chunk rule."""
+    class index. Scored in chunks sized by the encoder's no-grad chunk rule,
+    over a constant view of the parameters, which records no graph."""
     images = test_set.images.data
     labels = test_set.labels
     n = images.shape[0]
     if n == 0:
         raise EvalError("empty test set")
+    params = params.constant()
     chunk = params.config.nograd_chunk()
     correct = 0
-    with T.no_grad():
-        for start in range(0, n, chunk):
-            logits = forward(params, Tensor(images[start:start + chunk])).logits.data
-            correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
+    for start in range(0, n, chunk):
+        logits = forward(params, Tensor(images[start:start + chunk])).logits.data
+        correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / n
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -690,7 +691,11 @@ def _conv2d_input_grad_rows(gm, dx, wmat):
                 dg[:, :, i0:i0 + r1 - r0, j0:j0 + c1 - c0] += gc[:, :, ki, kj, r0:r1, c0:c1]
 
 
-def instance_norm(x, gamma, beta, eps=1e-5):
+_NORM_EPS = 1e-5
+"""The variance offset of instance norm, in ``instance_norm`` and ``conv_blocks``."""
+
+
+def instance_norm(x, gamma, beta, eps=_NORM_EPS):
     """Standardize each (sample, channel) plane, then scale/shift per channel."""
     if x.data.ndim != 4:
         raise ShapeMismatch(f"instance_norm expects (N,C,H,W), got {x.data.shape}")
@@ -838,6 +843,64 @@ def _avgpool_rows(x, y, ninth):
 def _avgpool_grad_rows(g, gx, ninth):
     h, w = gx.shape[2:]
     _tap3_stride2_adjoint(_tap3_stride2_adjoint(g * ninth, 3, w), 2, h, out=gx)
+
+
+def conv_blocks(x, blocks):
+    """The pooled output of every block of a graph-free encoder pass.
+
+    ``blocks`` holds one (w, gamma, beta) triple of tensors per block; block
+    i maps the previous output (x for the first) to
+    ``avgpool(relu(instance_norm(conv2d(., w), gamma, beta)))``, and each
+    output equals that chain of ops bit for bit. It records no graph, so it
+    raises TensorError when any input needs a gradient. The blocks run in one
+    ``_over_samples`` call: inside ``parallel()`` each part takes its samples
+    through every block, with one hand-off where the chain makes four per
+    block. Per block, a part writes the conv into its rows of one scratch
+    array that every block reuses, the norm and the ReLU over them in place,
+    and the pool into its rows of the block's output. The op allocates these
+    arrays once, for all samples, on the calling thread.
+    """
+    if any(t.node is not None for t in (x, *(t for blk in blocks for t in blk))):
+        raise TensorError("conv_blocks records no graph, but an input needs a gradient")
+    if x.data.ndim != 4:
+        raise ShapeMismatch(f"conv_blocks expects (N,C,H,W), got {x.data.shape}")
+    n, c, h, w = x.data.shape
+    dtype = x.data.dtype
+    mats, outs, conv_size = [], [], 0
+    for i, (wt, gamma, beta) in enumerate(blocks):
+        if wt.data.ndim != 4 or wt.data.shape[1:] != (c, 3, 3):
+            raise ShapeMismatch(f"conv_blocks: block {i} weight {wt.data.shape} "
+                                f"for {c} input channels")
+        c = wt.data.shape[0]
+        if gamma.data.shape != (c,) or beta.data.shape != (c,):
+            raise ShapeMismatch(f"conv_blocks: block {i} affine shapes "
+                                f"{gamma.data.shape}, {beta.data.shape} != ({c},)")
+        if h < 2 or w < 2:
+            raise ShapeMismatch(f"conv_blocks: block {i} cannot pool a {h}x{w} map")
+        dtype = np.result_type(wt.data, dtype)  # the conv's output type, kept by the rest
+        conv_size = max(conv_size, c * h * w)
+        h, w = -(-h // 2), -(-w // 2)
+        mats.append((wt.data.reshape(c, -1), gamma.data, beta.data))
+        outs.append(np.empty((n, c, h, w), dtype=dtype))
+    # The last block's type is the widest, so each block's conv fits a row.
+    scratch = np.empty((n, conv_size), dtype=dtype)
+    _over_samples(functools.partial(_conv_blocks_rows, blocks=mats), (x.data, scratch, *outs))
+    return [Tensor(y) for y in outs]
+
+
+def _conv_blocks_rows(x, scratch, *ys, blocks):
+    flat = scratch.reshape(-1)  # the part's rows are contiguous
+    for (wmat, gamma, beta), y in zip(blocks, ys):
+        n, cin, h, w = x.shape
+        c = len(wmat)
+        z = flat.view(y.dtype)[:n * c * h * w].reshape(n, c, h * w)
+        _conv2d_rows(x, z, wmat, _group_size(cin * 9 * h * w))
+        istd = np.empty((n, c), dtype=z.dtype)
+        a = np.empty((n, c), dtype=np.result_type(gamma, istd))
+        _instance_norm_rows(z, z, istd, a, z, gamma, beta, np.asarray(_NORM_EPS, dtype=z.dtype))
+        _relu_rows(z, z)
+        _avgpool_rows(z.reshape(n, c, h, w), y, np.asarray(1.0 / 9.0, dtype=z.dtype))
+        x = y
 
 
 def linear(x, w, b):

@@ -221,6 +221,24 @@ def test_cmd_distill_mnist_pad_below_one_exits_2(tmp_path, capsys, pad):
     assert "--mnist-pad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["distill", "eval"])
+@pytest.mark.parametrize("flag,value", [
+    ("--toy-classes", "0"), ("--toy-per-class", "0"), ("--toy-size", "0"),
+    ("--toy-size", "-2"), ("--toy-noise", "-1"), ("--toy-noise", "nan"),
+    ("--toy-noise", "inf"),
+])
+def test_toy_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, command, flag,
+                                                       value):
+    """Each value used to reach numpy and fail there (or warn, then fail)."""
+    target = ["--out", str(tmp_path / "x.dds")] if command == "distill" else [
+        "--syn", str(tmp_path / "x.dds")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--dataset", "toy", f"{flag}={value}", *target)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Warning" not in err
+
+
 def test_cmd_distill_cifar_fixture_end_to_end(tmp_path):
     import test_data
     rng = np.random.default_rng(0)

@@ -178,3 +178,27 @@ def test_a_synthetic_class_graph_holds_about_two_first_block_activations():
         tracemalloc.stop()
     assert held <= 2.5 * activation
     assert stats.feature.requires_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_constant_inputs_take_the_fused_pass_with_the_chained_values(monkeypatch, dtype):
+    """MNIST's 28 px at depth 3: the last block pools a 7 px map. The same
+    arrays in trainable tensors, with no graph recorded, take the chain."""
+    cfg = EncoderConfig(depth=3, width=6, input_channels=1, input_size=28, num_classes=3)
+    trainable = sample_params(cfg, 21, dtype=dtype, trainable=True)
+    x = Tensor(np.random.default_rng(22).normal(size=(3, 1, 28, 28)).astype(dtype))
+    calls = []
+    conv_blocks = T.conv_blocks
+    monkeypatch.setattr(T, "conv_blocks", lambda *a: calls.append(1) or conv_blocks(*a))
+    with T.no_grad():
+        chained = forward(trainable, x)
+    assert calls == []
+    fused = forward(trainable.constant(), x)
+    assert calls == [1]
+    assert not fused.logits.requires_grad
+    assert [f.data.shape[2] for f in fused.features] == [14, 7, 4]
+    for fc, ff in zip(chained.features, fused.features):
+        assert fc.dtype == ff.dtype == dtype and np.array_equal(fc.data, ff.data)
+    assert np.array_equal(chained.logits.data, fused.logits.data)
+    for p, c in zip(trainable.parameters(), trainable.constant().parameters()):
+        assert c.data is p.data and not c.requires_grad

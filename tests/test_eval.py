@@ -99,6 +99,32 @@ def test_accuracy_scores_in_budgeted_chunks_with_unchanged_predictions(monkeypat
     assert acc == float((whole.argmax(axis=1) == test.labels).mean())
 
 
+def test_trained_model_scores_through_the_fused_pass_as_through_the_chain(monkeypatch):
+    """A trained model's parameters need gradients; scoring reads the same
+    arrays through ``conv_blocks``, records no graph and leaves them as
+    they were. The chain, run under ``no_grad``, gives the same logits."""
+    train, test, enc = toy_setup(noise=1.0, per_class=40, classes=3)
+    syn = init_synthetic(train, 4, "random", seed=2)
+    params = train_classifier(syn, enc, EvalConfig(epochs=3, batch_size=4), seed=6)
+    with T.no_grad():
+        chained = forward(params, Tensor(test.images.data)).logits.data
+    fused = []
+    conv_blocks = T.conv_blocks
+    monkeypatch.setattr(T, "conv_blocks", lambda *a: fused.append(1) or conv_blocks(*a))
+    logits = []
+
+    def spy(params, images):
+        out = forward(params, images)
+        logits.append(out.logits.data)
+        return out
+
+    monkeypatch.setattr(evaluation, "forward", spy)
+    acc = accuracy_on(params, test)
+    assert fused == [1] and np.array_equal(logits[0], chained)
+    assert acc == float((chained.argmax(axis=1) == test.labels).mean())
+    assert all(p.requires_grad and p.grad is None for p in params.parameters())
+
+
 # ---------------------------------------------------------------------------
 # training
 

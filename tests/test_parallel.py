@@ -19,45 +19,6 @@ from attndistill.encoder import EncoderConfig
 from attndistill.tensor import Tensor
 
 
-@pytest.fixture
-def parts(monkeypatch):
-    """Set the usable CPUs to ``workers``, and record the (samples, thread)
-    of every part that runs."""
-    parts = []
-    over_samples = T._over_samples
-
-    def spy(fn, rows, *args):
-        def part(*arrays):
-            parts.append((len(arrays[0]), threading.get_ident()))
-            return fn(*arrays)
-        return over_samples(part, rows, *args)
-
-    monkeypatch.setattr(T, "_over_samples", spy)
-
-    def set_workers(workers):
-        monkeypatch.setattr(T, "_WORKERS", workers)
-        parts.clear()
-        return parts
-    return set_workers
-
-
-@pytest.fixture
-def split(parts, monkeypatch):
-    """``parts`` with REGION_FLOOR at 0."""
-    monkeypatch.setattr(T, "REGION_FLOOR", 0)
-    return parts
-
-
-@pytest.fixture
-def blas(monkeypatch):
-    """numpy's OpenBLAS thread-count functions, or a stand-in where they are missing."""
-    if T._BLAS is None:
-        threads = [4]
-        monkeypatch.setattr(T, "_BLAS", (lambda: threads[0],
-                                         lambda n: threads.__setitem__(0, n)))
-    return T._BLAS
-
-
 # ---------------------------------------------------------------------------
 # (a) each split op equals its unsplit run bit for bit
 
@@ -309,7 +270,7 @@ def test_public_functions_run_on_the_calling_thread(split, monkeypatch):
     for i in range(2):
         distill_step(state, i)
     main = threading.get_ident()
-    assert {"conv2d", "backward", "forward", "siamese_augment",
+    assert {"conv2d", "conv_blocks", "backward", "forward", "siamese_augment",
             "class_stats"} <= {name for name, _ in seen}
     assert [name for name, t in seen if t != main] == []
     assert any(t != main for _, t in parts)

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import threading
 import tracemalloc
@@ -234,6 +235,103 @@ def test_sample_groups_match_one_group_bit_for_bit(monkeypatch, dtype, weight_gr
         xt = t64(x, grad=True)
         T.backward(T.sum_all(T.mul(T.conv2d(xt, t64(wt)), t64(g))))
         assert max_rel_err(xt.grad, naive_conv2d_input_grad(g, wt)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# conv_blocks: the graph-free pass through every block
+
+
+def _blocks(rng, dtype, cin, widths):
+    blocks = []
+    for cout in widths:
+        blocks.append((Tensor(rng.normal(size=(cout, cin, 3, 3)).astype(dtype)),
+                       Tensor((rng.normal(size=cout) + 1.5).astype(dtype)),
+                       Tensor(rng.normal(size=cout).astype(dtype))))
+        cin = cout
+    return blocks
+
+
+def _chained_blocks(x, blocks):
+    outs = []
+    for w, gamma, beta in blocks:
+        x = T.avgpool(T.relu(T.instance_norm(T.conv2d(x, w), gamma, beta)))
+        outs.append(x)
+    return outs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 1, 28, 28), (1, 3, 9, 6), (4, 3, 6, 7)])
+@pytest.mark.parametrize("budget", [None, 300])
+def test_conv_blocks_equal_the_chained_ops_bit_for_bit(split, monkeypatch, dtype, shape,
+                                                       budget):
+    """28 px pools maps of 28, 14 and 7 px, as an MNIST encoder does; a batch
+    of one; odd sizes. Outside a region and inside one of 2 parts, where the
+    whole pass is one hand-off (2 + 3 samples of 5); budget 300 puts one
+    sample per conv column group, so a part also holds several groups."""
+    if budget is not None:
+        monkeypatch.setattr(T, "GROUP_BUDGET", budget)
+    rng = np.random.default_rng(1808)
+    x = Tensor(rng.normal(size=shape).astype(dtype))
+    blocks = _blocks(rng, dtype, shape[1], (4, 5, 3))
+    split(1)
+    chained = _chained_blocks(x, blocks)
+    for workers in (1, 2):
+        parts = split(workers)
+        with T.parallel(x.size):
+            fused = T.conv_blocks(x, blocks)
+        assert len(fused) == len(chained)
+        for a, b in zip(chained, fused):
+            assert a.dtype == b.dtype and np.array_equal(a.data, b.data)
+            assert not b.requires_grad
+        n = shape[0]
+        sizes = [n] if workers == 1 or n == 1 else [n // 2, n - n // 2]
+        assert sorted(m for m, _ in parts) == sorted(sizes)
+        assert len({t for _, t in parts} - {threading.get_ident()}) == len(sizes) - 1
+
+
+def test_conv_blocks_take_each_blocks_type_as_the_chain_does(split):
+    """float32 images, a float64 second block: the blocks share one scratch
+    array, viewed in each block's type."""
+    rng = np.random.default_rng(1809)
+    x = Tensor(rng.normal(size=(5, 2, 10, 9)).astype(np.float32))
+    blocks = (_blocks(rng, np.float32, 2, (4,)) + _blocks(rng, np.float64, 4, (5,))
+              + _blocks(rng, np.float32, 5, (3,)))
+    chained = _chained_blocks(x, blocks)
+    split(2)
+    with T.parallel(x.size):
+        fused = T.conv_blocks(x, blocks)
+    assert [f.dtype for f in fused] == [np.float32, np.float64, np.float64]
+    for a, b in zip(chained, fused):
+        assert a.dtype == b.dtype and np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("which", ["x", "w", "gamma", "beta"])
+@pytest.mark.parametrize("recording", [True, False])
+def test_conv_blocks_refuses_an_input_that_needs_a_gradient(which, recording):
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 1, 6, 6)))
+    blocks = _blocks(rng, np.float64, 1, (2, 2))
+    if which == "x":
+        x = Tensor(x.data, requires_grad=True)
+    else:
+        i = ("w", "gamma", "beta").index(which)
+        blocks[1] = tuple(Tensor(t.data, requires_grad=(j == i))
+                          for j, t in enumerate(blocks[1]))
+    with contextlib.nullcontext() if recording else T.no_grad():
+        with pytest.raises(TensorError, match="needs a gradient"):
+            T.conv_blocks(x, blocks)
+
+
+def test_conv_blocks_rejects_shapes_the_chain_rejects():
+    rng = np.random.default_rng(4)
+    blocks = _blocks(rng, np.float64, 2, (3, 3))
+    with pytest.raises(ShapeMismatch, match="weight"):
+        T.conv_blocks(Tensor(np.zeros((1, 1, 6, 6))), blocks)
+    with pytest.raises(ShapeMismatch, match="cannot pool a 1x1 map"):
+        T.conv_blocks(Tensor(np.zeros((1, 2, 2, 2))), blocks)
+    blocks[1] = (blocks[1][0], Tensor(np.ones(2)), blocks[1][2])
+    with pytest.raises(ShapeMismatch, match="affine"):
+        T.conv_blocks(Tensor(np.zeros((1, 2, 6, 6))), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +683,8 @@ def test_every_public_op_has_a_hook_case():
     public = {name for name, fn in vars(T).items()
               if inspect.isfunction(fn) and fn.__module__ == T.__name__
               and not name.startswith("_")}
-    assert set(HOOK_CASES) == public - {"no_grad", "backward", "sgd_momentum_step"}
+    assert set(HOOK_CASES) == public - {"no_grad", "backward", "sgd_momentum_step",
+                                        "conv_blocks"}
 
 
 @pytest.mark.parametrize("name", sorted(HOOK_CASES))
