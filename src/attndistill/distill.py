@@ -7,6 +7,7 @@ pixels against the combined attention-matching + feature-mean objective.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,15 +54,20 @@ class DistillConfig:
     def __post_init__(self):
         if self.ipc < 1 or self.iterations < 0 or self.real_batch_per_class < 1:
             raise ValueError(f"counts must be positive: {self}")
-        if self.lam < 0 or self.p < 1 or self.image_momentum < 0 or self.weight_decay_images < 0:
-            raise ValueError(f"rates out of range: {self}")
         if self.init not in ("random", "kcenter", "noise"):
             raise ValueError(f"unknown init strategy {self.init!r}")
         _require_a_term(self, self.use_sam and (self.layers is None or len(self.layers) > 0))
         if self.lr_images is None:
             self.lr_images = 1.0 if self.ipc <= 50 else 10.0
-        if self.lr_images < 0:
-            raise ValueError(f"image learning rate must be >= 0, got {self.lr_images}")
+        for name, meaning, floor in (("lr_images", "image learning rate", 0),
+                                     ("image_momentum", "image momentum", 0),
+                                     ("weight_decay_images", "image weight decay", 0),
+                                     ("lam", "task balance", 0),
+                                     ("p", "attention exponent", 1)):
+            value = getattr(self, name)
+            if not floor <= value < math.inf:
+                raise ValueError(f"{name} ({meaning}) must be a finite number >= {floor}, "
+                                 f"got {value}")
 
 
 def _require_a_term(cfg, attention_on):
@@ -133,6 +139,7 @@ class DistillState:
     dataset: DatasetIndex
     config: DistillConfig
     encoder: EncoderConfig
+    layers: list[int]  # the 1-based layers attention matches; empty without it
 
 
 def make_state(config, encoder_cfg, dataset, dtype=np.float32):
@@ -148,15 +155,17 @@ def make_state(config, encoder_cfg, dataset, dtype=np.float32):
         dataset=dataset,
         config=config,
         encoder=encoder_cfg,
+        layers=layers,
     )
 
 
 def distill_step(state, iteration):
     """One optimization step over all classes; returns the loss breakdown.
 
-    Each class is matched against constant real-side targets, embedded in
-    chunks with no graph, so its loss reads only its own rows of the
-    synthetic images, which enter the graph as a leaf of their own. Right
+    Each class is matched against constant real-side targets: neither the
+    real images nor the encoder draw need a gradient, so their chunks are
+    embedded with no graph, and the class's loss reads only its own rows of
+    the synthetic images, which enter the graph as a leaf of their own. Right
     after the class's backward its graph is released and those rows and
     their velocity take the SGD-momentum step, before the next class is
     embedded. The class loop runs in one ``T.parallel`` block, sized by the
@@ -176,7 +185,6 @@ def distill_step(state, iteration):
 
     dtype = syn.images.data.dtype
     zero = Tensor(np.zeros((), dtype=dtype))
-    layers = cfg.layers if cfg.use_sam else ()
     chunk = state.encoder.nograd_chunk()
     l_sam = l_mmd = zero.data
     per_layer = [0.0] * (state.encoder.depth - 1)
@@ -193,12 +201,11 @@ def distill_step(state, iteration):
             pixels = Tensor(syn.images.data[rows], requires_grad=True)  # a view: steps in place
             draw = draw_augment(cfg.augment, h, w, rng_aug)
             real_a, syn_a = siamese_augment(real, pixels, cfg.augment, draw)
-            with T.no_grad():
-                target = losses.class_stats(
-                    (forward(params, Tensor(real_a.data[i:i + chunk]))
-                     for i in range(0, take, chunk)),
-                    cfg.p, layers)
-            stats = losses.class_stats([forward(params, syn_a)], cfg.p, layers)
+            target = losses.class_stats(
+                (forward(params, Tensor(real_a.data[i:i + chunk]))
+                 for i in range(0, take, chunk)),
+                cfg.p, state.layers)
+            stats = losses.class_stats([forward(params, syn_a)], cfg.p, state.layers)
             sam = mmd = zero
             if cfg.use_sam:
                 sam, layer_terms = losses.sam_loss(target, stats)

@@ -134,12 +134,12 @@ def forward(params, images):
     """Run a batch through the encoder, returning the post-pool feature map of
     every block plus classifier logits.
 
-    When neither the images nor any parameter needs a gradient, no op can
-    record a graph in any grad mode, and the blocks run as one
-    ``T.conv_blocks`` call: the real-side chunks of a distillation step and
-    the scoring pass of an evaluation. Otherwise each block chains
-    ``conv2d``, ``instance_norm``, ``relu`` and ``avgpool``, whose outputs
-    ``conv_blocks`` equals bit for bit."""
+    When neither the images nor any parameter needs a gradient, no op
+    records a graph, and the blocks run as one ``T.conv_blocks`` call: the
+    real-side chunks of a distillation step and the scoring pass of an
+    evaluation. Otherwise each block chains ``conv2d``, ``instance_norm``,
+    ``relu`` and ``avgpool``, whose outputs ``conv_blocks`` equals bit for
+    bit."""
     cfg = params.config
     shape = images.data.shape
     if len(shape) != 4 or shape[1] != cfg.input_channels or shape[2:] != (cfg.input_size,) * 2:

@@ -7,6 +7,7 @@ mean and standard deviation over several random initializations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -37,8 +38,13 @@ class EvalConfig:
     def __post_init__(self):
         if min(self.num_models, self.epochs, self.decay_every, self.batch_size) < 1:
             raise ValueError(f"counts must be >= 1: {self}")
-        if min(self.lr, self.momentum, self.weight_decay, self.decay_rate) < 0:
-            raise ValueError(f"rates must be >= 0: {self}")
+        for name, meaning in (("lr", "learning rate"), ("momentum", "SGD momentum"),
+                              ("weight_decay", "weight decay"),
+                              ("decay_rate", "learning-rate decay factor")):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} ({meaning}) must be a finite number >= 0, "
+                                 f"got {value}")
 
     def effective_lr(self, epoch):
         """Step decay: multiply by decay_rate after every decay_every epochs."""

@@ -5,8 +5,9 @@ squared error between the batch means of per-sample L2-normalized spatial
 attention maps on the intermediate layers, and a linear-kernel MMD (squared
 distance of empirical mean vectors) on the vectorized last-layer features.
 Error reduction is MSE over vector components; layer terms are summed. The
-sum over classes is taken by the caller. The real side is a constant target,
-embedded chunk by chunk without a graph.
+sum over classes is taken by the caller. The real side is a constant target:
+its chunks and the encoder draw need no gradient, so no op on them records a
+graph.
 """
 from __future__ import annotations
 
@@ -62,16 +63,18 @@ def select_layers(depth, layers):
 def class_stats(traces, p, layers=None):
     """The statistics of one class's batch from the ForwardTraces of its
     consecutive chunks: ``[trace]`` for the synthetic batch, whose graph runs
-    back to the pixels, or the real batch's chunks run under ``T.no_grad()``.
+    back to the pixels, or the real batch's chunks, whose features have none.
 
-    layers: 1-based block indices among 1..L-1 (None selects all of them).
-    Each sample's rows, the unit-normalized vectorized attention map of each
-    layer and the vectorized last-layer feature, are joined across chunks
-    and averaged once, so the chunking does not change the result.
+    layers: 1-based block indices among 1..L-1 (None selects all of them),
+    selected once, by the first trace's depth. Each sample's rows, the
+    unit-normalized vectorized attention map of each layer and the
+    vectorized last-layer feature, are joined across chunks and averaged
+    once, so the chunking does not change the result.
     """
     chunks = []
     for trace in traces:
-        chosen = select_layers(len(trace.features), layers)
+        if not chunks:
+            chosen = select_layers(len(trace.features), layers)
         chunks.append([T.l2_normalize_rows(T.flatten2d(attention_pool(trace.features[l - 1], p)),
                                            NORM_EPS)
                        for l in chosen] + [T.flatten2d(trace.features[-1])])

@@ -7,7 +7,6 @@ same code path for tight gradient checking.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -27,24 +26,12 @@ class ShapeMismatch(TensorError):
 
 
 class _ThreadModes(threading.local):
-    """Modes of the calling thread: graph recording and sample splitting."""
+    """The calling thread's mode: whether its ops split their samples."""
 
-    grad_enabled = True
     split = False
 
 
 _modes = _ThreadModes()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block, on the calling thread only."""
-    saved = _modes.grad_enabled
-    _modes.grad_enabled = False
-    try:
-        yield
-    finally:
-        _modes.grad_enabled = saved
 
 
 class _Node:
@@ -133,14 +120,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={op})"
 
 
-def _records(parents):
-    """Whether an op on ``parents`` records a graph node."""
-    return _modes.grad_enabled and any(p.node is not None for p in parents)
-
-
 def _node(data, parents, op):
+    """The op's output tensor; it records a graph node exactly when an input has one."""
     out = Tensor(data)
-    if _records(parents):
+    if any(p.node is not None for p in parents):
         out.node = _Node(out.data.shape, out.data.dtype,
                          tuple(p.node for p in parents if p.node is not None), op)
     return out
@@ -583,11 +566,8 @@ def relu(a):
     x > 0 for every x, NaN and -0 included."""
     x = a.data
     y = np.empty_like(x)
-    if _records((a,)):
-        mask = np.empty(x.shape, dtype=bool)
-        _over_samples(_relu_rows, (x, y, mask))
-    else:
-        _over_samples(_relu_rows, (x, y))
+    mask = np.empty(x.shape, dtype=bool)
+    _over_samples(_relu_rows, (x, y, mask))
     out = _node(y, (a,), "relu")
     if out.requires_grad:
         an = a.node
@@ -632,7 +612,7 @@ def conv2d(x, w):
     n, cin, h, wd = x.data.shape
     cout = w.data.shape[0]
     k = cin * 9
-    keep = _records((x, w)) and w.requires_grad  # only the weight gradient reads the columns
+    keep = w.requires_grad  # only the weight gradient reads the columns
     step = max(n, 1) if keep else _group_size(k * h * wd)
     wmat = w.data.reshape(cout, k)
     y = np.empty((n, cout, h * wd), dtype=np.result_type(wmat, x.data))
@@ -709,8 +689,7 @@ def instance_norm(x, gamma, beta, eps=_NORM_EPS):
     xc = np.empty_like(x3)
     istd = np.empty((n, c), dtype=x.data.dtype)
     a = np.empty((n, c), dtype=np.result_type(gamma.data, istd))  # the factor applied to xc
-    # Without a graph nothing reads xc again, so the output overwrites it.
-    y = np.empty(x3.shape, dtype=np.result_type(xc, a)) if _records((x, gamma, beta)) else xc
+    y = np.empty(x3.shape, dtype=np.result_type(xc, a))
     _over_samples(_instance_norm_rows, (x3, xc, istd, a, y), gamma.data, beta.data, eps)
     out = _node(y.reshape(n, c, h, w), (x, gamma, beta), "instance_norm")
     if out.requires_grad:

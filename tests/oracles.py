@@ -163,8 +163,7 @@ def matching_loss(params, reals, pixels, p=4.0, lam=0.01):
     grad = np.empty_like(images)
     value = 0.0
     for k, real in enumerate(reals):
-        with T.no_grad():
-            target = losses.class_stats([forward(params, real)], p)
+        target = losses.class_stats([forward(params, real)], p)
         leaf = Tensor(images[k:k + 1], requires_grad=True)
         stats = losses.class_stats([forward(params, leaf)], p)
         sam, _ = losses.sam_loss(target, stats)

@@ -64,8 +64,7 @@ def test_criterion_2_identical_batches():
     batch = Tensor(rng.normal(size=(4, 1, 8, 8)).astype(np.float32))
     for seed in range(20):
         params = sample_params(cfg, seed)
-        with T.no_grad():
-            stats = class_stats([forward(params, batch)], 4.0)
+        stats = class_stats([forward(params, batch)], 4.0)
         s, _ = sam_loss(stats, stats)
         m = mmd_loss(stats, stats)
         assert abs(s.item()) < 1e-6
@@ -83,9 +82,8 @@ def test_criterion_3_feature_scaling():
     cfg = EncoderConfig(depth=3, width=8, input_channels=1, input_size=8, num_classes=2)
     params = sample_params(cfg, 44, dtype=np.float64)
     rng = np.random.default_rng(45)
-    with T.no_grad():
-        real = forward(params, Tensor(rng.normal(size=(4, 1, 8, 8))))
-        syn = forward(params, Tensor(rng.normal(size=(2, 1, 8, 8))))
+    real = forward(params, Tensor(rng.normal(size=(4, 1, 8, 8))))
+    syn = forward(params, Tensor(rng.normal(size=(2, 1, 8, 8))))
     _, base = sam_loss(class_stats([real], 4.0), class_stats([syn], 4.0))
 
     def scaled(trace, layer, c):

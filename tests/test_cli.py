@@ -195,7 +195,15 @@ def test_cmd_distill_bad_aug_list_exits_2(tmp_path):
     (["--no-sam", "--no-mmd"], "at least one"),     # an objective that is 0
     (["--depth", "1", "--no-mmd"], "at least one"),  # no layer for attention to match
     (["--depth", "2", "--layers", "2"], "outside 1..1"),
-], ids=["negative-lr", "no-terms", "depth-1-no-mmd", "layer-outside-depth"])
+    # each non-finite rate used to fail after the first step, naming no field
+    (["--lr=nan"], "lr_images (image learning rate) must be a finite"),
+    (["--lr=inf"], "lr_images (image learning rate) must be a finite"),
+    (["--lambda=nan"], "lam (task balance) must be a finite"),
+    (["--momentum=nan"], "image_momentum (image momentum) must be a finite"),
+    (["--p=nan"], "p (attention exponent) must be a finite"),
+    (["--p=inf"], "p (attention exponent) must be a finite"),
+], ids=["negative-lr", "no-terms", "depth-1-no-mmd", "layer-outside-depth", "nan-lr",
+        "inf-lr", "nan-lambda", "nan-momentum", "nan-p", "inf-p"])
 def test_cmd_distill_wrong_objective_exits_1_with_one_error_line(tmp_path, capsys, flags,
                                                                  words):
     out = tmp_path / "x.dds"
@@ -203,6 +211,21 @@ def test_cmd_distill_wrong_objective_exits_1_with_one_error_line(tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cmd_eval_non_finite_lr_exits_1_naming_the_field(tmp_path, capsys, monkeypatch, value):
+    """``--lr nan`` used to train NaN parameters and report an accuracy."""
+    out = tmp_path / "syn.dds"
+    assert run_cli(*toy_distill_args(out)) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "evaluate_synthetic", lambda *a: calls.append(a))
+    assert run_cli("eval", "--syn", str(out), "--dataset", "toy", "--models", "1",
+                   "--epochs", "1", f"--lr={value}") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lr (") and "finite" in err[0]
+    assert calls == []
 
 
 @pytest.mark.parametrize("layers", [",", ""], ids=["comma", "empty"])

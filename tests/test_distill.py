@@ -277,6 +277,28 @@ def test_real_batch_is_embedded_in_budgeted_chunks(monkeypatch):
     assert calls == per_class * 2
 
 
+def test_only_the_synthetic_side_records_a_graph(monkeypatch):
+    """Neither the real chunks nor the encoder draw need a gradient, so no op
+    on them records a graph; the synthetic batch's features and statistics
+    run back to the pixels."""
+    train, enc = toy_setup()
+    monkeypatch.setattr(T, "GROUP_BUDGET", 3 * enc.width * enc.input_size ** 2)
+    seen = []
+    original = losses.class_stats
+
+    def spy(traces, p, layers=None):
+        traces = list(traces)
+        stats = original(traces, p, layers)
+        nodes = {f.node is not None for t in traces for f in t.features}
+        nodes |= {s.node is not None for s in stats.attention + [stats.feature]}
+        seen.append((len(traces), nodes))
+        return stats
+
+    monkeypatch.setattr(losses, "class_stats", spy)
+    distill_step(make_state(quick_config(), enc, train), 0)
+    assert seen == [(3, {False}), (1, {True})] * 2
+
+
 def _step_peak(monkeypatch, k, ipc=1):
     """The ``tracemalloc`` peak of one ``distill_step`` over ``k`` classes
     (1x32x32, width 64, two real chunks per class's 8-image batch), with
@@ -408,6 +430,14 @@ def test_lr_default_resolution():
     assert DistillConfig(ipc=50).lr_images == 1.0
     assert DistillConfig(ipc=51).lr_images == 10.0
     assert DistillConfig(ipc=10, lr_images=0.5).lr_images == 0.5
+
+
+@pytest.mark.parametrize("field", ["lr_images", "image_momentum", "weight_decay_images",
+                                   "lam", "p"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_config_refuses_a_rate_that_is_not_a_finite_number_in_range(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} \(.*finite"):
+        DistillConfig(ipc=1, **{field: value})
 
 
 def test_attention_without_a_layer_and_no_mmd_is_rejected():

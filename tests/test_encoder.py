@@ -113,25 +113,12 @@ def test_logit_gradient_matches_finite_differences():
     assert max_rel_err(x.grad, num) < 1e-3
 
 
-def test_record_grad_false_detaches_images():
-    cfg = small_cfg()
-    params = sample_params(cfg, 13)
-    x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 8, 8)).astype(np.float32),
-               requires_grad=True)
-    with T.no_grad():
-        trace = forward(params, x)
-    assert not trace.logits.requires_grad
-    T.backward(T.sum_all(trace.logits))
-    assert x.grad is None
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_values_do_not_depend_on_grad_mode(dtype):
     cfg = small_cfg(width=12)
     params = sample_params(cfg, 17, dtype=dtype)
     x0 = np.random.default_rng(18).normal(size=(4, 1, 8, 8)).astype(dtype)
-    with T.no_grad():
-        plain = forward(params, Tensor(x0))
+    plain = forward(params, Tensor(x0))
     graph = forward(params, Tensor(x0.copy(), requires_grad=True))
     assert graph.logits.requires_grad and not plain.logits.requires_grad
     for fp, fg in zip(plain.features, graph.features):
@@ -183,16 +170,15 @@ def test_a_synthetic_class_graph_holds_about_two_first_block_activations():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_constant_inputs_take_the_fused_pass_with_the_chained_values(monkeypatch, dtype):
     """MNIST's 28 px at depth 3: the last block pools a 7 px map. The same
-    arrays in trainable tensors, with no graph recorded, take the chain."""
+    arrays in trainable tensors take the chain, whose graph is never walked."""
     cfg = EncoderConfig(depth=3, width=6, input_channels=1, input_size=28, num_classes=3)
     trainable = sample_params(cfg, 21, dtype=dtype, trainable=True)
     x = Tensor(np.random.default_rng(22).normal(size=(3, 1, 28, 28)).astype(dtype))
     calls = []
     conv_blocks = T.conv_blocks
     monkeypatch.setattr(T, "conv_blocks", lambda *a: calls.append(1) or conv_blocks(*a))
-    with T.no_grad():
-        chained = forward(trainable, x)
-    assert calls == []
+    chained = forward(trainable, x)
+    assert calls == [] and chained.logits.requires_grad
     fused = forward(trainable.constant(), x)
     assert calls == [1]
     assert not fused.logits.requires_grad

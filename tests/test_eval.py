@@ -83,8 +83,8 @@ def test_accuracy_scores_in_budgeted_chunks_with_unchanged_predictions(monkeypat
                               noise_std=1.0, seed=4))
     enc = EncoderConfig(depth=3, width=8, input_channels=1, input_size=32, num_classes=3)
     params = sample_params(enc, 5)
-    with T.no_grad():  # the former batching: one batch of up to 512 images
-        whole = forward(params, Tensor(test.images.data)).logits.data
+    # the former batching: one batch of up to 512 images
+    whole = forward(params, Tensor(test.images.data)).logits.data
     chunks = []
 
     def spy(params, images):
@@ -102,12 +102,11 @@ def test_accuracy_scores_in_budgeted_chunks_with_unchanged_predictions(monkeypat
 def test_trained_model_scores_through_the_fused_pass_as_through_the_chain(monkeypatch):
     """A trained model's parameters need gradients; scoring reads the same
     arrays through ``conv_blocks``, records no graph and leaves them as
-    they were. The chain, run under ``no_grad``, gives the same logits."""
+    they were. The chain, whose graph is never walked, gives the same logits."""
     train, test, enc = toy_setup(noise=1.0, per_class=40, classes=3)
     syn = init_synthetic(train, 4, "random", seed=2)
     params = train_classifier(syn, enc, EvalConfig(epochs=3, batch_size=4), seed=6)
-    with T.no_grad():
-        chained = forward(params, Tensor(test.images.data)).logits.data
+    chained = forward(params, Tensor(test.images.data)).logits.data
     fused = []
     conv_blocks = T.conv_blocks
     monkeypatch.setattr(T, "conv_blocks", lambda *a: fused.append(1) or conv_blocks(*a))
@@ -210,6 +209,13 @@ def test_report_config_echo():
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+@pytest.mark.parametrize("field", ["lr", "momentum", "weight_decay", "decay_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_config_refuses_a_rate_that_is_not_a_finite_number_in_range(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} \(.*finite"):
+        EvalConfig(**{field: value})
 
 
 def test_eval_config_is_frozen():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from attndistill.encoder import EncoderConfig, ForwardTrace, forward, sample_params
 from attndistill.losses import attention_pool, class_stats, mmd_loss, sam_loss, total_loss
-from attndistill import tensor as T
 from attndistill.tensor import Tensor
 
 from oracles import fd_gradient, matching_loss, max_rel_err, naive_attention_pool
@@ -112,10 +111,9 @@ def test_chunked_class_stats_equal_full_batch_bit_for_bit(cfg, batch, chunk, lay
     rng = np.random.default_rng(32)
     images = rng.normal(size=(batch, cfg.input_channels, cfg.input_size,
                               cfg.input_size)).astype(dtype)
-    with T.no_grad():
-        whole = class_stats([forward(params, Tensor(images))], 4.0, layers)
-        chunked = class_stats((forward(params, Tensor(images[i:i + chunk]))
-                               for i in range(0, batch, chunk)), 4.0, layers)
+    whole = class_stats([forward(params, Tensor(images))], 4.0, layers)
+    chunked = class_stats((forward(params, Tensor(images[i:i + chunk]))
+                           for i in range(0, batch, chunk)), 4.0, layers)
     assert chunked.layers == whole.layers == ([2] if layers else list(range(1, cfg.depth)))
     got = chunked.attention + [chunked.feature]
     want = whole.attention + [whole.feature]
@@ -271,8 +269,7 @@ def test_zero_loss_identity_through_encoder():
     batch = Tensor(rng.normal(size=(4, 1, 8, 8)).astype(np.float32))
     for seed in range(20):
         params = sample_params(cfg, seed)
-        with T.no_grad():
-            stats = class_stats([forward(params, batch)], 4.0)
+        stats = class_stats([forward(params, batch)], 4.0)
         s, _ = sam_loss(stats, stats)
         m = mmd_loss(stats, stats)
         assert abs(s.item()) < 1e-6 and abs(m.item()) < 1e-6

@@ -1,4 +1,3 @@
-import contextlib
 import inspect
 import threading
 import tracemalloc
@@ -308,18 +307,27 @@ def test_conv_blocks_take_each_blocks_type_as_the_chain_does(split):
 @pytest.mark.parametrize("which", ["x", "w", "gamma", "beta"])
 @pytest.mark.parametrize("recording", [True, False])
 def test_conv_blocks_refuses_an_input_that_needs_a_gradient(which, recording):
+    """The offending input is a leaf, or (recording) the output of a recorded
+    op, which carries a graph node of its own."""
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(2, 1, 6, 6)))
     blocks = _blocks(rng, np.float64, 1, (2, 2))
+
+    def needing(t):
+        out = Tensor(t.data, requires_grad=True)
+        if recording:
+            out = T.scale(out, 1.0)
+        assert out.node.op == ("scale" if recording else "leaf")
+        return out
+
     if which == "x":
-        x = Tensor(x.data, requires_grad=True)
+        x = needing(x)
     else:
         i = ("w", "gamma", "beta").index(which)
-        blocks[1] = tuple(Tensor(t.data, requires_grad=(j == i))
+        blocks[1] = tuple(needing(t) if j == i else t
                           for j, t in enumerate(blocks[1]))
-    with contextlib.nullcontext() if recording else T.no_grad():
-        with pytest.raises(TensorError, match="needs a gradient"):
-            T.conv_blocks(x, blocks)
+    with pytest.raises(TensorError, match="needs a gradient"):
+        T.conv_blocks(x, blocks)
 
 
 def test_conv_blocks_rejects_shapes_the_chain_rejects():
@@ -541,15 +549,6 @@ def test_broadcast_gradient_takes_the_layout_of_its_tensor():
     assert np.array_equal(x.grad, np.ones_like(x.data))
 
 
-def test_no_grad_suppresses_recording():
-    x = t64([1.0, 2.0], grad=True)
-    with T.no_grad():
-        y = T.sum_all(T.mul(x, x))
-    assert not y.requires_grad
-    T.backward(y)
-    assert x.grad is None
-
-
 def test_concat_rows_returns_one_part_as_it_is_and_rejects_mismatched_parts():
     x = t64(np.ones((2, 3)), grad=True)
     assert T.concat_rows([x]) is x
@@ -683,8 +682,7 @@ def test_every_public_op_has_a_hook_case():
     public = {name for name, fn in vars(T).items()
               if inspect.isfunction(fn) and fn.__module__ == T.__name__
               and not name.startswith("_")}
-    assert set(HOOK_CASES) == public - {"no_grad", "backward", "sgd_momentum_step",
-                                        "conv_blocks"}
+    assert set(HOOK_CASES) == public - {"backward", "sgd_momentum_step", "conv_blocks"}
 
 
 @pytest.mark.parametrize("name", sorted(HOOK_CASES))
@@ -715,6 +713,17 @@ def test_an_assigned_backward_hook_runs_the_ops_backward(name):
     assert np.array_equal(hooked, plain)
 
 
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_an_op_records_a_node_exactly_when_an_input_has_one(name):
+    op, shape = OPS[name]
+    consts = _constants(np.random.default_rng(99), np.float64)
+    x0 = np.random.default_rng(5).normal(size=shape)
+    plain = op(Tensor(x0), consts)
+    graph = op(Tensor(x0, requires_grad=True), consts)
+    assert plain.node is None and graph.node is not None
+    assert np.array_equal(plain.data, graph.data)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -736,30 +745,7 @@ def test_ops_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# grad mode and the elementwise power
-
-
-def test_no_grad_in_another_thread_leaves_this_thread_recording():
-    inside, release = threading.Event(), threading.Event()
-
-    def hold():
-        with T.no_grad():
-            inside.set()
-            release.wait(10)
-
-    other = threading.Thread(target=hold)
-    other.start()
-    try:
-        assert inside.wait(10)
-        x = t64([1.0, -2.0], grad=True)
-        y = T.sum_all(T.mul(x, x))
-        assert y.requires_grad
-        T.backward(y)
-        assert np.array_equal(x.grad, [2.0, -4.0])
-    finally:
-        release.set()
-        other.join(10)
-    assert not other.is_alive()
+# the elementwise power
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
@@ -774,8 +760,7 @@ def test_abs_pow_equals_the_power_operator_bit_for_bit(p, dtype):
     T.backward(T.sum_all(T.mul(y, Tensor(g))))
     assert np.array_equal(y.data, np.abs(x0) ** p)
     assert np.array_equal(x.grad, g * p * np.sign(x0) * np.abs(x0) ** (p - 1))
-    with T.no_grad():
-        assert np.array_equal(T.abs_pow(Tensor(x0), p).data, np.abs(x0) ** p)
+    assert np.array_equal(T.abs_pow(Tensor(x0), p).data, np.abs(x0) ** p)
 
 
 def test_relu_and_abs_pow_of_a_scalar():
