@@ -8,6 +8,7 @@ architecture with trainable parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,19 @@ def default_depth(input_size):
     return 5
 
 
+def check_fields(config, fields):
+    """Raise ValueError naming the first field of ``config`` out of range.
+    Each entry of ``fields`` is (name, meaning, floor, kind): a field of kind
+    ``int`` must be an integer >= floor, one of kind ``float`` a finite
+    number >= floor."""
+    for name, meaning, floor, kind in fields:
+        value = getattr(config, name)
+        typed = isinstance(value, numbers.Integral) if kind is int else value < math.inf
+        if not (typed and floor <= value):
+            noun = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"{name} ({meaning}) must be {noun} >= {floor}, got {value}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     depth: int = 3
@@ -34,9 +48,11 @@ class EncoderConfig:
     num_classes: int = 10
 
     def __post_init__(self):
-        if min(self.depth, self.width, self.input_channels,
-               self.input_size, self.num_classes) < 1:
-            raise ValueError(f"encoder config fields must be >= 1: {self}")
+        check_fields(self, (("depth", "conv blocks", 1, int),
+                            ("width", "channels per block", 1, int),
+                            ("input_channels", "image channels", 1, int),
+                            ("input_size", "image side in pixels", 1, int),
+                            ("num_classes", "classes", 1, int)))
         size = self.input_size
         for block in range(self.depth):
             if size < 2:
@@ -63,7 +79,8 @@ class EncoderConfig:
         width 128 and 32 px that is 8 images; the toy benchmark's 64-image
         class batch (width 32, 16 px) stays one chunk. Each chunk is one
         ``T.conv_blocks`` call, so inside ``T.parallel`` one hand-off to the
-        part threads per chunk."""
+        part threads per chunk whose first-block activation reaches
+        ``T.SPLIT_FLOOR``, as both of those do."""
         return max(1, T.GROUP_BUDGET // (self.width * self.input_size ** 2))
 
 

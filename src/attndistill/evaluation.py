@@ -7,14 +7,13 @@ mean and standard deviation over several random initializations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .augment import AugmentSpec, apply_augment, draw_augment
-from .encoder import forward, sample_params
+from .encoder import check_fields, forward, sample_params
 from .tensor import Tensor
 
 
@@ -36,15 +35,14 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.num_models, self.epochs, self.decay_every, self.batch_size) < 1:
-            raise ValueError(f"counts must be >= 1: {self}")
-        for name, meaning in (("lr", "learning rate"), ("momentum", "SGD momentum"),
-                              ("weight_decay", "weight decay"),
-                              ("decay_rate", "learning-rate decay factor")):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} ({meaning}) must be a finite number >= 0, "
-                                 f"got {value}")
+        check_fields(self, (("num_models", "models to train", 1, int),
+                            ("epochs", "training epochs", 1, int),
+                            ("decay_every", "epochs per learning-rate decay", 1, int),
+                            ("batch_size", "training batch size", 1, int),
+                            ("lr", "learning rate", 0, float),
+                            ("momentum", "SGD momentum", 0, float),
+                            ("weight_decay", "weight decay", 0, float),
+                            ("decay_rate", "learning-rate decay factor", 0, float)))
 
     def effective_lr(self, epoch):
         """Step decay: multiply by decay_rate after every decay_every epochs."""
@@ -66,7 +64,9 @@ class EvalReport:
 
 
 def train_classifier(syn, encoder_cfg, config, seed):
-    """Train one classifier on the synthetic set; deterministic given seed."""
+    """Train one classifier on the synthetic set; deterministic given seed.
+    Its epochs run in one ``T.parallel`` block, as the scoring chunks of
+    ``test_accuracy`` do."""
     if syn.images.data.shape[0] == 0:
         raise EvalError("cannot train on an empty synthetic set")
     params = sample_params(encoder_cfg, seed, dtype=syn.images.data.dtype, trainable=True)
@@ -77,21 +77,22 @@ def train_classifier(syn, encoder_cfg, config, seed):
     n = images.shape[0]
     aug_spec = AugmentSpec()
     h, w = images.shape[2], images.shape[3]
-    for epoch in range(config.epochs):
-        lr = config.effective_lr(epoch)
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb = Tensor(images[idx])
-            if config.augment:
-                xb = apply_augment(xb, aug_spec, draw_augment(aug_spec, h, w, rng))
-            trace = forward(params, xb)
-            loss = T.softmax_cross_entropy(trace.logits, labels[idx])
-            if not np.isfinite(loss.item()):
-                raise EvalError(f"non-finite training loss at epoch {epoch}")
-            T.backward(loss)
-            for p, v in zip(params.parameters(), velocities):
-                T.sgd_momentum_step(p, v, lr, config.momentum, config.weight_decay)
+    with T.parallel():
+        for epoch in range(config.epochs):
+            lr = config.effective_lr(epoch)
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                xb = Tensor(images[idx])
+                if config.augment:
+                    xb = apply_augment(xb, aug_spec, draw_augment(aug_spec, h, w, rng))
+                trace = forward(params, xb)
+                loss = T.softmax_cross_entropy(trace.logits, labels[idx])
+                if not np.isfinite(loss.item()):
+                    raise EvalError(f"non-finite training loss at epoch {epoch}")
+                T.backward(loss)
+                for p, v in zip(params.parameters(), velocities):
+                    T.sgd_momentum_step(p, v, lr, config.momentum, config.weight_decay)
     return params
 
 
@@ -107,9 +108,10 @@ def test_accuracy(params, test_set):
     params = params.constant()
     chunk = params.config.nograd_chunk()
     correct = 0
-    for start in range(0, n, chunk):
-        logits = forward(params, Tensor(images[start:start + chunk])).logits.data
-        correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
+    with T.parallel():
+        for start in range(0, n, chunk):
+            logits = forward(params, Tensor(images[start:start + chunk])).logits.data
+            correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / n
 
 

@@ -26,9 +26,12 @@ class ShapeMismatch(TensorError):
 
 
 class _ThreadModes(threading.local):
-    """The calling thread's mode: whether its ops split their samples."""
+    """The calling thread's modes: whether its op calls split their samples
+    (inside ``parallel()``), and into how many parts the call it runs a part
+    of was cut, which shares out the scratch budget (``_group_size``)."""
 
     split = False
+    parts = 1
 
 
 _modes = _ThreadModes()
@@ -452,26 +455,29 @@ def apply_mask(a, mask):
 
 
 GROUP_BUDGET = 1 << 20
-"""Elements of the scratch buffers that ops fill one sample group at a time:
-the im2col columns of ``conv2d`` in forward and backward (unless it keeps
-them whole for the weight gradient) and a term of ``instance_norm``'s dX."""
+"""Elements of the scratch buffers that one op call fills one sample group at
+a time: the im2col columns of ``conv2d`` in forward and backward (unless it
+keeps them whole for the weight gradient) and a term of ``instance_norm``'s
+dX. A call split into parts gives each part an equal share."""
 
-REGION_FLOOR = 960_000
-"""Elements of a block's largest activation up to which ``parallel()``
-changes nothing. It is the only size that decides whether ops split: below
-it the hand-offs gain little, while every GEMM left unsplit loses its second
-BLAS thread. On a 2-CPU machine, steps of the toy benchmark shape (width 32,
-16 px) ran 5-21% slower inside a block with 64 to 112 real images per class
-(524,288 to 917,504 elements). Steps whose real chunks reach 1,003,520
-elements (MNIST 28 px, width 128) or 1,048,576 (CIFAR 32 px, width 128)
-ran 10-21% faster at ipc 1 and 10, and at ipc 50 (6.6M) a quarter faster.
-The count alone does not tell them from a toy step with 128 real images
-(1,048,576 elements), which ran 10% slower inside."""
+SPLIT_FLOOR = 1 << 18
+"""Elements of an op call's largest array from which, inside ``parallel()``,
+the call splits its samples over the cores. In one process on a 2-CPU
+machine, with floors of 2**17, 2**18 and 2**19 taking turns over 10 rounds,
+the median step read: CIFAR shape at ipc 10 (1 class, 256 real images,
+width 128) 507, 513 and 543 ms; 2 classes at ipc 50 with 32 real images
+560, 543 and 600 ms; the toy benchmark step (64 real images of 16 px at
+width 32, whose 524,288-element real chunks split under all three) 54.1,
+54.2 and 54.1 ms; and the toy step with 16 real images, whose 131,072-element
+chunks split only under 2**17, 37.3, 37.5 and 36.9 ms. So 2**19, which keeps
+the ipc-10 block-2 (327,680 elements) and ipc-50 block-3 (409,600) ops
+whole, is slower, and 2**17 gains nothing over 2**18."""
 
 
 def _group_size(per_sample):
-    """Samples of ``per_sample`` scratch elements that fit GROUP_BUDGET, at least one."""
-    return max(1, GROUP_BUDGET // per_sample)
+    """Samples of ``per_sample`` scratch elements that fit the calling part's
+    share of GROUP_BUDGET, at least one."""
+    return max(1, GROUP_BUDGET // (_modes.parts * per_sample))
 
 
 def _find_blas():
@@ -496,24 +502,21 @@ _pool = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="tensor-part
 
 
 class parallel:
-    """Block in which ops split their samples over every usable CPU.
+    """Block, one distillation step or one evaluated model, whose op calls may
+    split their samples over every usable CPU.
 
-    ``work`` is the element count of the largest activation the block's ops
-    produce. On entry numpy's bundled OpenBLAS is pinned to one thread, so
-    that the GEMMs of concurrent parts do not compete with each other for
-    the cores, and the calling thread's ops start splitting
-    (``_over_samples``). On exit, also by an exception, the previous thread
-    count and mode return. With ``work`` of at most REGION_FLOOR, without
-    that BLAS symbol or with one usable CPU, the block changes nothing.
-    Every op is still entered and left on the calling thread.
+    On entry numpy's bundled OpenBLAS is pinned to one thread, so that no
+    GEMM, split or not, wakes BLAS helper threads that then compete with the
+    parts for the cores, and the calling thread's op calls start splitting
+    when they reach SPLIT_FLOOR (``_over_samples``). On exit, also by an
+    exception, the previous thread count and mode return. Without that BLAS
+    symbol or with one usable CPU, the block changes nothing. Every op is
+    still entered and left on the calling thread.
     """
-
-    def __init__(self, work):
-        self.work = work
 
     def __enter__(self):
         self._saved = None
-        if _BLAS is not None and _WORKERS > 1 and self.work > REGION_FLOOR:
+        if _BLAS is not None and _WORKERS > 1:
             get, put = _BLAS
             self._saved = (put, get(), _modes.split)
             put(1)
@@ -527,26 +530,37 @@ class parallel:
         return False
 
 
-def _over_samples(fn, rows, *args):
+def _over_samples(fn, rows, *args, scratch=0):
     """Call ``fn(*rows, *args)``; ``rows`` are arrays with one entry per sample
-    along their first axis.
+    along their first axis, and ``scratch`` is the elements one sample takes
+    in the buffers ``fn`` fills one sample group at a time (0 for none).
 
-    Inside ``parallel()``, with at least two samples, the samples are cut
-    into one contiguous range per usable CPU, and ``fn`` runs on each range's
-    slices of ``rows`` at the same time, the calling thread taking the first.
+    Inside ``parallel()``, when the largest array of ``rows`` has at least
+    SPLIT_FLOOR elements, the samples are cut into contiguous ranges, one per
+    usable CPU but no more than there are samples, or than the shares of
+    GROUP_BUDGET that hold one sample's ``scratch``. With two or more, ``fn``
+    runs on each range's slices of ``rows`` at the same time, the calling
+    thread taking the first, and each part sizes its groups by its share
+    (``_group_size``), so the parts' groups stay within GROUP_BUDGET in total.
     Otherwise it is one call on the whole arrays. A part runs numpy only and
     writes its own samples of arrays the op allocated before; the op keeps
     every reduction across samples. An error in a part is raised once every
     part has finished.
     """
-    if not _modes.split or rows[0].ndim == 0 or len(rows[0]) < 2:
+    n = parts = 1
+    if _modes.split and rows[0].ndim > 0 and max(r.size for r in rows) >= SPLIT_FLOOR:
+        n = len(rows[0])
+        parts = min(_WORKERS, n, GROUP_BUDGET // scratch if scratch else n)
+    if parts < 2:
         return fn(*rows, *args)
-    n = len(rows[0])
-    parts = min(_WORKERS, n)
     cuts = [n * i // parts for i in range(parts + 1)]
 
     def part(i):
-        return fn(*(r[cuts[i]:cuts[i + 1]] for r in rows), *args)
+        _modes.parts = parts
+        try:
+            return fn(*(r[cuts[i]:cuts[i + 1]] for r in rows), *args)
+        finally:
+            _modes.parts = 1
     rest = [_pool.submit(part, i) for i in range(1, parts)]
     try:
         part(0)
@@ -600,7 +614,9 @@ def conv2d(x, w):
     Implemented as im2col + one GEMM per sample: the column buffer is
     (N, Cin*9, H*W), so ``W @ cols`` writes NCHW directly. The columns are
     built whole only when the weight gradient keeps them; otherwise, and for
-    the input gradient, in sample groups of at most GROUP_BUDGET elements.
+    the input gradient, in sample groups within GROUP_BUDGET. The weight
+    gradient fills an (N, Cout, Cin*9) product, one GEMM per sample, in a
+    call that may split, and sums it over the samples on the calling thread.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: expected 4-D input/weight, got {x.data.shape}, {w.data.shape}")
@@ -612,45 +628,50 @@ def conv2d(x, w):
     n, cin, h, wd = x.data.shape
     cout = w.data.shape[0]
     k = cin * 9
-    keep = w.requires_grad  # only the weight gradient reads the columns
-    step = max(n, 1) if keep else _group_size(k * h * wd)
     wmat = w.data.reshape(cout, k)
     y = np.empty((n, cout, h * wd), dtype=np.result_type(wmat, x.data))
+    rows = (x.data, y)
+    keep = w.requires_grad  # only the weight gradient reads the columns
     if keep:
-        cols = _conv2d_rows(x.data, y, wmat, step)
-    else:
-        _over_samples(_conv2d_rows, (x.data, y), wmat, step)
+        rows += (np.empty((n, cin, 3, 3, h, wd), dtype=x.data.dtype),)
+    _over_samples(functools.partial(_conv2d_rows, wmat=wmat), rows,
+                  scratch=0 if keep else k * h * wd)
     out = _node(y.reshape(n, cout, h, wd), (x, w), "conv2d")
     if out.requires_grad:
         xn, wn = x.node, w.node
-        wcols = cols.reshape(n, k, h * wd) if keep else None
+        wcols = rows[2].reshape(n, k, h * wd) if keep else None
 
         def bwd(g):
             gm = g.reshape(n, cout, h * wd)
             if wn is not None:
-                _accum(wn, np.matmul(gm, wcols.transpose(0, 2, 1)).sum(axis=0).reshape(wn.shape))
+                prod = np.empty((n, cout, k), dtype=np.result_type(gm, wcols))
+                _over_samples(np.matmul, (gm, wcols.transpose(0, 2, 1), prod))
+                _accum(wn, prod.sum(axis=0).reshape(wn.shape))
             if xn is not None:
                 dx = np.zeros(xn.shape, dtype=np.result_type(wmat, gm))
-                _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat)
+                _over_samples(_conv2d_input_grad_rows, (gm, dx), wmat, scratch=k * h * wd)
                 _accum(xn, dx)
         out._backward = bwd
     return out
 
 
-def _conv2d_rows(x, y, wmat, step):
-    """``y = W @ cols(x)`` in sample groups of ``step``, with its own padded
-    input and column buffers; returns the columns of the last group."""
+def _conv2d_rows(x, y, cols=None, *, wmat):
+    """``y = W @ cols(x)``, with its own padded input buffer. Given ``cols``,
+    (N, Cin, 3, 3, H, W), every sample's columns are built there in one
+    group; otherwise in sample groups within the scratch budget, in a buffer
+    of its own."""
     n, cin, h, wd = x.shape
     k = cin * 9
+    step = max(n, 1) if cols is not None else _group_size(k * h * wd)
     xp = np.zeros((min(n, step), cin, h + 2, wd + 2), dtype=x.dtype)
-    cols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=x.dtype)
+    if cols is None:
+        cols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=x.dtype)
     for s in range(0, n, step):
         m = min(step, n - s)
         xp[:m, :, 1:1 + h, 1:1 + wd] = x[s:s + m]  # the border stays zero
         win = sliding_window_view(xp[:m], (3, 3), axis=(2, 3))  # (m, Cin, h, wd, 3, 3)
         np.copyto(cols[:m], win.transpose(0, 1, 4, 5, 2, 3))
         np.matmul(wmat, cols[:m].reshape(m, k, h * wd), out=y[s:s + m])
-    return cols
 
 
 def _conv2d_input_grad_rows(gm, dx, wmat):
@@ -702,7 +723,7 @@ def instance_norm(x, gamma, beta, eps=_NORM_EPS):
             if xn is not None:
                 gx = np.empty(g3.shape, dtype=np.result_type(g3, a))
                 rows += (gx,)
-            _over_samples(_instance_norm_grad_rows, rows)
+            _over_samples(_instance_norm_grad_rows, rows, scratch=0 if xn is None else c * m)
             if gn is not None:
                 _accum(gn, (gxc * istd).sum(axis=0))
             if bn is not None:
@@ -832,12 +853,13 @@ def conv_blocks(x, blocks):
     ``avgpool(relu(instance_norm(conv2d(., w), gamma, beta)))``, and each
     output equals that chain of ops bit for bit. It records no graph, so it
     raises TensorError when any input needs a gradient. The blocks run in one
-    ``_over_samples`` call: inside ``parallel()`` each part takes its samples
+    ``_over_samples`` call: when it splits, each part takes its samples
     through every block, with one hand-off where the chain makes four per
     block. Per block, a part writes the conv into its rows of one scratch
     array that every block reuses, the norm and the ReLU over them in place,
     and the pool into its rows of the block's output. The op allocates these
-    arrays once, for all samples, on the calling thread.
+    arrays once, for all samples, on the calling thread; the scratch array,
+    the largest, decides whether the call splits.
     """
     if any(t.node is not None for t in (x, *(t for blk in blocks for t in blk))):
         raise TensorError("conv_blocks records no graph, but an input needs a gradient")
@@ -845,7 +867,7 @@ def conv_blocks(x, blocks):
         raise ShapeMismatch(f"conv_blocks expects (N,C,H,W), got {x.data.shape}")
     n, c, h, w = x.data.shape
     dtype = x.data.dtype
-    mats, outs, conv_size = [], [], 0
+    mats, outs, conv_size, cols_size = [], [], 0, 0
     for i, (wt, gamma, beta) in enumerate(blocks):
         if wt.data.ndim != 4 or wt.data.shape[1:] != (c, 3, 3):
             raise ShapeMismatch(f"conv_blocks: block {i} weight {wt.data.shape} "
@@ -858,22 +880,24 @@ def conv_blocks(x, blocks):
             raise ShapeMismatch(f"conv_blocks: block {i} cannot pool a {h}x{w} map")
         dtype = np.result_type(wt.data, dtype)  # the conv's output type, kept by the rest
         conv_size = max(conv_size, c * h * w)
+        cols_size = max(cols_size, wt.data.shape[1] * 9 * h * w)
         h, w = -(-h // 2), -(-w // 2)
         mats.append((wt.data.reshape(c, -1), gamma.data, beta.data))
         outs.append(np.empty((n, c, h, w), dtype=dtype))
     # The last block's type is the widest, so each block's conv fits a row.
     scratch = np.empty((n, conv_size), dtype=dtype)
-    _over_samples(functools.partial(_conv_blocks_rows, blocks=mats), (x.data, scratch, *outs))
+    _over_samples(functools.partial(_conv_blocks_rows, blocks=mats), (x.data, scratch, *outs),
+                  scratch=cols_size)
     return [Tensor(y) for y in outs]
 
 
 def _conv_blocks_rows(x, scratch, *ys, blocks):
     flat = scratch.reshape(-1)  # the part's rows are contiguous
     for (wmat, gamma, beta), y in zip(blocks, ys):
-        n, cin, h, w = x.shape
+        n, _, h, w = x.shape
         c = len(wmat)
         z = flat.view(y.dtype)[:n * c * h * w].reshape(n, c, h * w)
-        _conv2d_rows(x, z, wmat, _group_size(cin * 9 * h * w))
+        _conv2d_rows(x, z, wmat=wmat)
         istd = np.empty((n, c), dtype=z.dtype)
         a = np.empty((n, c), dtype=np.result_type(gamma, istd))
         _instance_norm_rows(z, z, istd, a, z, gamma, beta, np.asarray(_NORM_EPS, dtype=z.dtype))

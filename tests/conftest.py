@@ -13,11 +13,11 @@ def parts(monkeypatch):
     parts = []
     over_samples = T._over_samples
 
-    def spy(fn, rows, *args):
+    def spy(fn, rows, *args, **kwargs):
         def part(*arrays):
             parts.append((len(arrays[0]), threading.get_ident()))
             return fn(*arrays)
-        return over_samples(part, rows, *args)
+        return over_samples(part, rows, *args, **kwargs)
 
     monkeypatch.setattr(T, "_over_samples", spy)
 
@@ -30,8 +30,9 @@ def parts(monkeypatch):
 
 @pytest.fixture
 def split(parts, monkeypatch):
-    """``parts`` with REGION_FLOOR at 0."""
-    monkeypatch.setattr(T, "REGION_FLOOR", 0)
+    """``parts`` with SPLIT_FLOOR at 0: inside ``T.parallel()`` every op call
+    of two or more samples splits."""
+    monkeypatch.setattr(T, "SPLIT_FLOOR", 0)
     return parts
 
 

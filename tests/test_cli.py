@@ -228,6 +228,38 @@ def test_cmd_eval_non_finite_lr_exits_1_naming_the_field(tmp_path, capsys, monke
     assert calls == []
 
 
+@pytest.mark.parametrize("command,flag,value,words", [
+    ("distill", "--ipc", "0", "ipc (images per class) must be an integer >= 1, got 0"),
+    ("distill", "--iters", "-1", "iterations (optimization steps) must be an integer >= 0, "
+                                 "got -1"),
+    ("distill", "--real-batch", "0", "real_batch_per_class (real images per class and step) "
+                                     "must be an integer >= 1, got 0"),
+    ("distill", "--width", "0", "width (channels per block) must be an integer >= 1, got 0"),
+    ("distill", "--depth", "0", "depth (conv blocks) must be an integer >= 1, got 0"),
+    ("eval", "--models", "0", "num_models (models to train) must be an integer >= 1, got 0"),
+    ("eval", "--epochs", "0", "epochs (training epochs) must be an integer >= 1, got 0"),
+    ("eval", "--batch-size", "0", "batch_size (training batch size) must be an integer >= 1, "
+                                  "got 0"),
+    ("eval", "--width", "0", "width (channels per block) must be an integer >= 1, got 0"),
+])
+def test_count_flag_out_of_range_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
+                                                           command, flag, value, words):
+    """Each used to end in one line that dumped the whole config, named no
+    field and called ``--iters 0``, which is valid, not positive."""
+    syn = tmp_path / "syn.dds"
+    if command == "distill":
+        argv = toy_distill_args(tmp_path / "x.dds")
+    else:
+        assert run_cli(*toy_distill_args(syn)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "evaluate_synthetic", lambda *a: pytest.fail("trained"))
+        argv = ["eval", "--syn", str(syn), "--dataset", "toy", "--models", "1", "--epochs", "1"]
+    assert run_cli(*argv, f"{flag}={value}") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {words}"]
+    assert not (tmp_path / "x.dds").exists()
+
+
 @pytest.mark.parametrize("layers", [",", ""], ids=["comma", "empty"])
 def test_cmd_distill_empty_layer_list_exits_2(tmp_path, layers):
     with pytest.raises(SystemExit) as exc:

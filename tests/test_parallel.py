@@ -1,5 +1,6 @@
-"""Sample splitting inside ``T.parallel()``: bit-identical results, the BLAS
-thread count, error hand-off, and every public function on the calling thread."""
+"""Sample splitting inside ``T.parallel()``: which op calls split,
+bit-identical results, the BLAS thread count, the shared scratch budget,
+error hand-off, and every public function on the calling thread."""
 import functools
 import inspect
 import os
@@ -11,11 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from attndistill import distill, losses
+from attndistill import distill, evaluation, losses
 from attndistill import tensor as T
 from attndistill.data import ToySpec, gen_toy
 from attndistill.distill import DistillConfig, DistillError, distill_step, make_state
 from attndistill.encoder import EncoderConfig
+from attndistill.evaluation import EvalConfig, EvalError, train_classifier
+from attndistill.synfile import SyntheticSet
 from attndistill.tensor import Tensor
 
 
@@ -24,8 +27,8 @@ from attndistill.tensor import Tensor
 
 
 SPLIT_OPS = {
-    "conv2d": (lambda x, c: T.conv2d(x, c["w"]), (5, 3, 6, 5)),
-    "instance_norm": (lambda x, c: T.instance_norm(x, c["gamma"], c["beta"]), (5, 4, 6, 5)),
+    "conv2d": (lambda x, c: T.conv2d(x, c["w"]), (5, 1, 3, 3)),
+    "instance_norm": (lambda x, c: T.instance_norm(x, c["gamma"], c["beta"]), (5, 4, 4, 5)),
     "avgpool": (lambda x, c: T.avgpool(x), (5, 4, 7, 6)),
     "relu": (lambda x, c: T.relu(x), (5, 4, 6, 5)),
     "abs_pow": (lambda x, c: T.abs_pow(x, 4.0), (5, 4, 6, 5)),
@@ -40,8 +43,9 @@ SPLIT_OPS = {
 def test_split_op_matches_unsplit_bit_for_bit(split, monkeypatch, name, dtype, workers,
                                               record, budget):
     """5 samples over 2 parts (3 + 2) and 3 parts (1 + 2 + 2), with or without
-    a graph; budget 250 puts one sample per conv2d column group and two per
-    instance_norm dX group, so parts also hold several groups."""
+    a graph; budget 250 gives a part of 2 or 3 a share that holds one sample
+    of conv2d columns (81 elements) or of instance_norm's dX term (80), so
+    parts also hold several groups."""
     if budget is not None:
         monkeypatch.setattr(T, "GROUP_BUDGET", budget)
     op, shape = SPLIT_OPS[name]
@@ -56,7 +60,7 @@ def test_split_op_matches_unsplit_bit_for_bit(split, monkeypatch, name, dtype, w
         x = Tensor(x0.copy(), requires_grad=record)
         c = {"w": Tensor(w0), "gamma": Tensor(gamma0, requires_grad=record),
              "beta": Tensor(beta0, requires_grad=record)}
-        with T.parallel(x0.size):
+        with T.parallel():
             out = op(x, c)
             if record:
                 T.backward(T.sum_all(T.mul(out, Tensor(g0))))
@@ -75,38 +79,35 @@ def test_split_op_matches_unsplit_bit_for_bit(split, monkeypatch, name, dtype, w
 
 
 # ---------------------------------------------------------------------------
-# the region is the only gate: inside it every op of two or more samples splits
+# the floor is per call: inside the region a call splits iff its largest array
+# reaches it
 
 
-def test_region_alone_decides_which_ops_split(split, blas):
-    """Only REGION_FLOOR is patched, so no per-op size threshold can keep a
-    tiny op whole; the two workers stand for a 2-CPU machine on any box."""
-    parts = split(2)
+def test_a_call_splits_iff_its_largest_array_reaches_the_floor(parts, blas, monkeypatch):
+    """SPLIT_FLOOR at 16 elements; the two workers stand for a 2-CPU machine
+    on any box."""
+    monkeypatch.setattr(T, "SPLIT_FLOOR", 16)
+    seen = parts(2)
     main = threading.get_ident()
     rng = np.random.default_rng(7)
-    pair = Tensor(rng.normal(size=(2, 1, 2, 2)).astype(np.float32))
-    with T.parallel(1):
-        T.relu(pair)
-    threads = {t for _, t in parts}
-    assert [m for m, _ in parts] == [1, 1] and main in threads and len(threads) == 2
-
-    parts.clear()
-    x = Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
-    gamma, beta = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
-
-    def every_op(x):
-        y = T.avgpool(T.relu(T.instance_norm(T.conv2d(x, w), gamma, beta)))
-        T.backward(T.sum_all(T.abs_pow(y, 4.0)))
-
-    with T.parallel(1):
-        every_op(x)
-    assert len(parts) == 10 and set(parts) == {(1, main)}
-
-    parts.clear()
-    x = Tensor(rng.normal(size=(4, 2, 4, 4)).astype(np.float32), requires_grad=True)
-    every_op(x)
-    assert len(parts) == 10 and set(parts) == {(4, main)}
+    below = Tensor(rng.normal(size=(2, 1, 2, 2)).astype(np.float32))  # 8 elements
+    at = Tensor(rng.normal(size=(2, 1, 2, 4)).astype(np.float32))  # 16 elements
+    with T.parallel():
+        T.relu(below)
+        assert seen == [(2, main)]
+        seen.clear()
+        T.relu(at)
+        assert sorted(m for m, _ in seen) == [1, 1] and len({t for _, t in seen}) == 2
+        seen.clear()
+        # 8 input elements, but the output holds 2*8*2*2 = 64: the call splits
+        T.conv2d(below, Tensor(rng.normal(size=(8, 1, 3, 3)).astype(np.float32)))
+        assert sorted(m for m, _ in seen) == [1, 1] and len({t for _, t in seen}) == 2
+        seen.clear()
+        T.relu(Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32)))  # one sample
+        assert seen == [(1, main)]
+    seen.clear()
+    T.relu(at)  # outside the region nothing splits
+    assert seen == [(2, main)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +151,14 @@ def test_region_without_blas_symbol_changes_nothing(split, monkeypatch):
     one = _three_steps(np.float32)
     parts = split(2)
     monkeypatch.setattr(T, "_BLAS", None)
-    with T.parallel(1):
+    with T.parallel():
         assert not T._modes.split
     assert _three_steps(np.float32) == one
     assert parts and all(t == threading.get_ident() for _, t in parts)
 
 
 # ---------------------------------------------------------------------------
-# the real REGION_FLOOR: the toy gate's steps stay whole, a CIFAR ipc-1 step splits
+# the real SPLIT_FLOOR: the toy gate's real chunks split, and a CIFAR ipc-1 step
 
 
 def _steps(classes, channels, size, width, ipc, real, dtype, steps=1):
@@ -171,25 +172,72 @@ def _steps(classes, channels, size, width, ipc, real, dtype, steps=1):
     return state.syn.images.data.tobytes(), breakdowns
 
 
-def test_toy_gate_step_splits_no_op(parts, blas):
-    """4 classes of 1x16x16, width 32, ipc 10, 64 real images: the real
-    batch's first activation (64*32*16*16 elements) stays below the floor."""
+def test_toy_gate_step_splits_only_its_real_chunks_bit_for_bit(parts, blas, monkeypatch):
+    """4 classes of 1x16x16, width 32, ipc 10, 64 real images, at the real
+    floor: each class's real chunk (64*32*16*16 elements in ``conv_blocks``)
+    splits, and no synthetic op (at most 10*32*16*16) does."""
+    chunks = []
+    rows = T._conv_blocks_rows
+
+    def spy(x, *arrays, **kw):
+        chunks.append((len(x), threading.get_ident()))
+        return rows(x, *arrays, **kw)
+
+    monkeypatch.setattr(T, "_conv_blocks_rows", spy)
+    parts(1)
+    whole = _steps(4, 1, 16, 32, 10, 64, np.float32)
     seen = parts(2)
-    _steps(4, 1, 16, 32, 10, 64, np.float32)
-    assert seen and all(t == threading.get_ident() for _, t in seen)
+    chunks.clear()
+    pieces = _steps(4, 1, 16, 32, 10, 64, np.float32)
+    main = threading.get_ident()
+    assert sorted(chunks) == sorted([(32, main)] * 4 + [(32, t) for _, t in seen if t != main])
+    assert len([t for _, t in seen if t != main]) == 4
+    assert pieces == whole
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_cifar_ipc1_step_splits_by_its_real_chunk_bit_for_bit(parts, blas, dtype):
     """One class of 3x32x32 at width 128, ipc 1, 8 real images: the synthetic
-    first activation (1*128*32*32 elements) is below the floor, the real
-    chunk's (8*128*32*32) above it, so the step's ops split."""
+    ops hold one sample each, and the real chunk (8*128*32*32 elements in
+    ``conv_blocks``) splits."""
     parts(1)
     whole = _steps(1, 3, 32, 128, 1, 8, dtype, steps=2)
     seen = parts(2)
     pieces = _steps(1, 3, 32, 128, 1, 8, dtype, steps=2)
     assert any(t != threading.get_ident() for _, t in seen)
     assert pieces == whole
+
+
+# ---------------------------------------------------------------------------
+# evaluation: training and scoring give the same bytes with 1 and 2 workers
+
+
+def _eval_setup():
+    """64 synthetic images of 1x16x16 in 4 classes and a 64-image test set,
+    width 16: block 1 of a 64-image training batch and of the scoring chunk
+    holds 64*16*16*16 elements, the real floor, so both split."""
+    train, test = gen_toy(ToySpec(num_classes=4, images_per_class=16, image_size=16,
+                                  noise_std=1.0, seed=2))
+    enc = EncoderConfig(depth=2, width=16, input_channels=1, input_size=16, num_classes=4)
+    syn = SyntheticSet(images=Tensor(train.images.data.copy()), labels=train.labels, ipc=16)
+    return syn, enc, test
+
+
+def _train_and_score(syn, enc, test):
+    config = EvalConfig(num_models=1, epochs=2, batch_size=64, seed=0)
+    model = train_classifier(syn, enc, config, 5)
+    return [p.data.tobytes() for p in model.parameters()], evaluation.test_accuracy(model, test)
+
+
+def test_trained_parameters_and_accuracy_do_not_depend_on_workers(parts, blas):
+    syn, enc, test = _eval_setup()
+    parts(1)
+    one = _train_and_score(syn, enc, test)
+    seen = parts(2)
+    many = _train_and_score(syn, enc, test)
+    main = threading.get_ident()
+    assert sorted(m for m, t in seen if t != main).count(32) >= 2  # training and scoring
+    assert one == many
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +248,12 @@ def test_region_pins_blas_to_one_thread_and_restores_it(split, blas):
     split(2)
     get, _ = blas
     before = get()
-    with T.parallel(1):
+    with T.parallel():
         assert get() == 1 and T._modes.split
-        with T.parallel(1):
+        with T.parallel():
             assert get() == 1
         assert get() == 1 and T._modes.split
     assert get() == before and not T._modes.split
-    with T.parallel(0):  # no larger than REGION_FLOOR
-        assert get() == before and not T._modes.split
 
 
 def test_region_restores_blas_threads_after_distill_error(split, blas):
@@ -219,6 +265,84 @@ def test_region_restores_blas_threads_after_distill_error(split, blas):
     with pytest.raises(DistillError, match="non-finite loss"):
         distill_step(state, 0)
     assert get() == before and not T._modes.split
+
+
+def test_region_restores_blas_threads_after_eval_error(parts, blas, monkeypatch):
+    parts(2)
+    get, _ = blas
+    before = get()
+    inside = []
+    loss = T.softmax_cross_entropy
+
+    def spy(*args):
+        inside.append(get())
+        return loss(*args)
+
+    monkeypatch.setattr(T, "softmax_cross_entropy", spy)
+    syn, enc, _ = _eval_setup()
+    syn.images.data[:] = np.nan
+    with pytest.raises(EvalError, match="non-finite training loss"):
+        train_classifier(syn, enc, EvalConfig(num_models=1, epochs=1, batch_size=64), 5)
+    assert inside == [1] and get() == before and not T._modes.split
+
+
+# ---------------------------------------------------------------------------
+# the parts of a split call share GROUP_BUDGET
+
+
+def test_the_groups_of_a_split_call_stay_within_the_budget_in_total(split, monkeypatch):
+    """8 samples of 2x6x6 and 3 conv channels, a budget of 4 samples of conv
+    columns (4*2*9*36 elements): unsplit, every grouped scratch (conv columns
+    in forward and dX, the instance norm dX term, and the same in
+    ``conv_blocks``) takes 4 samples at a time; in 2 parts each takes 2."""
+    per_sample = 2 * 9 * 36
+    monkeypatch.setattr(T, "GROUP_BUDGET", 4 * per_sample)
+    groups = []
+    group_size = T._group_size
+
+    def spy(size):
+        groups.append((size, group_size(size), T._modes.parts))
+        return groups[-1][1]
+
+    monkeypatch.setattr(T, "_group_size", spy)
+    rng = np.random.default_rng(12)
+    x0 = rng.normal(size=(8, 2, 6, 6)).astype(np.float32)
+    w = Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float32))
+    gamma, beta = Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32))
+
+    def run():
+        groups.clear()
+        with T.parallel():
+            x = Tensor(x0, requires_grad=True)
+            T.backward(T.sum_all(T.instance_norm(T.conv2d(x, w), gamma, beta)))
+            fused = T.conv_blocks(Tensor(x0), [(w, gamma, beta)])
+        return list(groups), x.grad, fused[0].data
+
+    split(1)
+    whole, *one = run()
+    split(2)
+    halves, *two = run()
+    assert len(whole) == 4 and len(halves) == 8
+    assert {(g * size, parts) for size, g, parts in whole} == {(4 * per_sample, 1)}
+    assert {(g * size, parts) for size, g, parts in halves} == {(2 * per_sample, 2)}
+    assert T._modes.parts == 1
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
+
+
+def test_a_call_takes_no_more_parts_than_shares_that_hold_a_sample(split, monkeypatch):
+    """A budget of 2 samples of conv columns and 3 workers: the conv, which
+    fills columns, splits 6 samples in 2 parts, and the ReLU, which has no
+    grouped scratch, in 3."""
+    monkeypatch.setattr(T, "GROUP_BUDGET", 2 * 2 * 9 * 36)
+    seen = split(3)
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(6, 2, 6, 6)).astype(np.float32))
+    with T.parallel():
+        T.conv2d(x, Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float32)))
+        assert sorted(m for m, _ in seen) == [3, 3]
+        seen.clear()
+        T.relu(x)
+        assert sorted(m for m, _ in seen) == [2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +360,7 @@ def test_failing_part_is_raised_after_the_others_finish(split, failing):
         time.sleep(0.05)
         finished.append(samples[0])
 
-    with T.parallel(6), pytest.raises(ValueError, match=f"part at {failing}"):
+    with T.parallel(), pytest.raises(ValueError, match=f"part at {failing}"):
         T._over_samples(fn, (np.arange(6),))
     assert sorted(finished) == sorted({0, 2, 4} - {failing})
 

@@ -265,8 +265,9 @@ def test_conv_blocks_equal_the_chained_ops_bit_for_bit(split, monkeypatch, dtype
                                                        budget):
     """28 px pools maps of 28, 14 and 7 px, as an MNIST encoder does; a batch
     of one; odd sizes. Outside a region and inside one of 2 parts, where the
-    whole pass is one hand-off (2 + 3 samples of 5); budget 300 puts one
-    sample per conv column group, so a part also holds several groups."""
+    whole pass is one hand-off (2 + 3 samples of 5). Budget 300 holds no
+    sample's first-block columns, so the pass does not split: a part's share
+    of the budget must hold one sample's."""
     if budget is not None:
         monkeypatch.setattr(T, "GROUP_BUDGET", budget)
     rng = np.random.default_rng(1808)
@@ -276,14 +277,14 @@ def test_conv_blocks_equal_the_chained_ops_bit_for_bit(split, monkeypatch, dtype
     chained = _chained_blocks(x, blocks)
     for workers in (1, 2):
         parts = split(workers)
-        with T.parallel(x.size):
+        with T.parallel():
             fused = T.conv_blocks(x, blocks)
         assert len(fused) == len(chained)
         for a, b in zip(chained, fused):
             assert a.dtype == b.dtype and np.array_equal(a.data, b.data)
             assert not b.requires_grad
         n = shape[0]
-        sizes = [n] if workers == 1 or n == 1 else [n // 2, n - n // 2]
+        sizes = [n] if workers == 1 or n == 1 or budget else [n // 2, n - n // 2]
         assert sorted(m for m, _ in parts) == sorted(sizes)
         assert len({t for _, t in parts} - {threading.get_ident()}) == len(sizes) - 1
 
@@ -297,7 +298,7 @@ def test_conv_blocks_take_each_blocks_type_as_the_chain_does(split):
               + _blocks(rng, np.float32, 5, (3,)))
     chained = _chained_blocks(x, blocks)
     split(2)
-    with T.parallel(x.size):
+    with T.parallel():
         fused = T.conv_blocks(x, blocks)
     assert [f.dtype for f in fused] == [np.float32, np.float64, np.float64]
     for a, b in zip(chained, fused):
