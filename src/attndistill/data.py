@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import check_fields
 from .tensor import Tensor
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
@@ -177,6 +178,14 @@ class ToySpec:
     channels: int = 1
     seed: int = 0
     noise_std: float = 0.3
+
+    def __post_init__(self):
+        check_fields(self, (("num_classes", "toy classes", 1, int),
+                            ("images_per_class", "toy images per class", 1, int),
+                            ("image_size", "toy image side in pixels", 1, int),
+                            ("channels", "toy image channels", 1, int),
+                            ("noise_std", "toy pixel noise", 0, float),
+                            ("seed", "toy data seed", 0, int)))
 
 
 def toy_templates(spec):

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses, tensor as T
+from . import check_fields, losses, tensor as T
 from .augment import AugmentSpec, draw_augment, siamese_augment
 from .data import DatasetIndex
-from .encoder import EncoderConfig, check_fields, forward, sample_params
+from .encoder import EncoderConfig, forward, sample_params
 from .losses import LossBreakdown
 from .synfile import SyntheticSet
 from .tensor import Tensor
@@ -59,6 +59,7 @@ class DistillConfig:
         check_fields(self, (("ipc", "images per class", 1, int),
                             ("iterations", "optimization steps", 0, int),
                             ("real_batch_per_class", "real images per class and step", 1, int),
+                            ("seed", "distillation seed", 0, int),
                             ("lr_images", "image learning rate", 0, float),
                             ("image_momentum", "image momentum", 0, float),
                             ("weight_decay_images", "image weight decay", 0, float),
@@ -164,10 +165,9 @@ def distill_step(state, iteration):
     the synthetic images, which enter the graph as a leaf of their own. Right
     after the class's backward its graph is released and those rows and
     their velocity take the SGD-momentum step, before the next class is
-    embedded. The class loop runs in one ``T.parallel`` block: BLAS stays on
-    one thread through the step, and each op call splits its samples over
-    the cores by its own size. At the toy benchmark shape only the real
-    chunks' ``conv_blocks`` calls reach the floor.
+    embedded. Each op call splits its samples over the cores by its own size
+    (``T.SPLIT_FLOOR``); at the toy benchmark shape only the real chunks'
+    ``conv_blocks`` calls reach the floor.
 
     A ``DistillError`` at class k leaves classes 0..k-1 stepped; after a
     non-finite loss, class k's rows are as they were.
@@ -185,41 +185,40 @@ def distill_step(state, iteration):
     chunk = state.encoder.nograd_chunk()
     l_sam = l_mmd = zero.data
     per_layer = [0.0] * (state.encoder.depth - 1)
-    with T.parallel():
-        for cls in range(syn.num_classes):
-            idx = state.dataset.per_class[cls]
-            take = min(cfg.real_batch_per_class, len(idx))
-            if take == 0:
-                raise DistillError(f"class {cls} has no real images")
-            pick = rng_batch.choice(idx, size=take, replace=False)
-            real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
-            rows = slice(cls * cfg.ipc, (cls + 1) * cfg.ipc)
-            pixels = Tensor(syn.images.data[rows], requires_grad=True)  # a view: steps in place
-            draw = draw_augment(cfg.augment, h, w, rng_aug)
-            real_a, syn_a = siamese_augment(real, pixels, cfg.augment, draw)
-            target = losses.class_stats(
-                (forward(params, Tensor(real_a.data[i:i + chunk]))
-                 for i in range(0, take, chunk)),
-                cfg.p, state.layers)
-            stats = losses.class_stats([forward(params, syn_a)], cfg.p, state.layers)
-            sam = mmd = zero
-            if cfg.use_sam:
-                sam, layer_terms = losses.sam_loss(target, stats)
-                for l, term in zip(target.layers, layer_terms):
-                    per_layer[l - 1] += term
-            if cfg.use_mmd:
-                mmd = losses.mmd_loss(target, stats)
-            if not (np.isfinite(sam.data) and np.isfinite(mmd.data)):
-                raise DistillError(f"non-finite loss at iteration {iteration}, class {cls}")
-            T.backward(losses.total_loss(sam, mmd, cfg.lam))
-            l_sam = l_sam + sam.data
-            l_mmd = l_mmd + mmd.data
-            del stats, target, sam, mmd, syn_a, real_a, real
-            T.sgd_momentum_step(pixels, Tensor(state.velocity.data[rows]), cfg.lr_images,
-                                cfg.image_momentum, cfg.weight_decay_images)
-            if not np.isfinite(pixels.data).all():
-                raise DistillError(
-                    f"non-finite synthetic pixels after iteration {iteration}, class {cls}")
+    for cls in range(syn.num_classes):
+        idx = state.dataset.per_class[cls]
+        take = min(cfg.real_batch_per_class, len(idx))
+        if take == 0:
+            raise DistillError(f"class {cls} has no real images")
+        pick = rng_batch.choice(idx, size=take, replace=False)
+        real = Tensor(state.dataset.images.data[pick].astype(dtype, copy=False))
+        rows = slice(cls * cfg.ipc, (cls + 1) * cfg.ipc)
+        pixels = Tensor(syn.images.data[rows], requires_grad=True)  # a view: steps in place
+        draw = draw_augment(cfg.augment, h, w, rng_aug)
+        real_a, syn_a = siamese_augment(real, pixels, cfg.augment, draw)
+        target = losses.class_stats(
+            (forward(params, Tensor(real_a.data[i:i + chunk]))
+             for i in range(0, take, chunk)),
+            cfg.p, state.layers)
+        stats = losses.class_stats([forward(params, syn_a)], cfg.p, state.layers)
+        sam = mmd = zero
+        if cfg.use_sam:
+            sam, layer_terms = losses.sam_loss(target, stats)
+            for l, term in zip(target.layers, layer_terms):
+                per_layer[l - 1] += term
+        if cfg.use_mmd:
+            mmd = losses.mmd_loss(target, stats)
+        if not (np.isfinite(sam.data) and np.isfinite(mmd.data)):
+            raise DistillError(f"non-finite loss at iteration {iteration}, class {cls}")
+        T.backward(losses.total_loss(sam, mmd, cfg.lam))
+        l_sam = l_sam + sam.data
+        l_mmd = l_mmd + mmd.data
+        del stats, target, sam, mmd, syn_a, real_a, real
+        T.sgd_momentum_step(pixels, Tensor(state.velocity.data[rows]), cfg.lr_images,
+                            cfg.image_momentum, cfg.weight_decay_images)
+        if not np.isfinite(pixels.data).all():
+            raise DistillError(
+                f"non-finite synthetic pixels after iteration {iteration}, class {cls}")
     l_sam, l_mmd = float(l_sam), float(l_mmd)
     return LossBreakdown(l_sam=l_sam, l_mmd=l_mmd, total=l_sam + cfg.lam * l_mmd,
                          per_layer=per_layer)

@@ -8,11 +8,11 @@ architecture with trainable parameters.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import check_fields
 from . import tensor as T
 from .tensor import Tensor
 
@@ -24,19 +24,6 @@ def default_depth(input_size):
     if input_size <= 64:
         return 4
     return 5
-
-
-def check_fields(config, fields):
-    """Raise ValueError naming the first field of ``config`` out of range.
-    Each entry of ``fields`` is (name, meaning, floor, kind): a field of kind
-    ``int`` must be an integer >= floor, one of kind ``float`` a finite
-    number >= floor."""
-    for name, meaning, floor, kind in fields:
-        value = getattr(config, name)
-        typed = isinstance(value, numbers.Integral) if kind is int else value < math.inf
-        if not (typed and floor <= value):
-            noun = "an integer" if kind is int else "a finite number"
-            raise ValueError(f"{name} ({meaning}) must be {noun} >= {floor}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +65,9 @@ class EncoderConfig:
         first-block activation within ``T.GROUP_BUDGET``, at least one. At
         width 128 and 32 px that is 8 images; the toy benchmark's 64-image
         class batch (width 32, 16 px) stays one chunk. Each chunk is one
-        ``T.conv_blocks`` call, so inside ``T.parallel`` one hand-off to the
-        part threads per chunk whose first-block activation reaches
-        ``T.SPLIT_FLOOR``, as both of those do."""
+        ``T.conv_blocks`` call, so one hand-off to the part threads per chunk
+        whose first-block activation reaches ``T.SPLIT_FLOOR``, as both of
+        those do."""
         return max(1, T.GROUP_BUDGET // (self.width * self.input_size ** 2))
 
 

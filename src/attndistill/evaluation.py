@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import check_fields, tensor as T
 from .augment import AugmentSpec, apply_augment, draw_augment
-from .encoder import check_fields, forward, sample_params
+from .encoder import forward, sample_params
 from .tensor import Tensor
 
 
@@ -39,6 +39,7 @@ class EvalConfig:
                             ("epochs", "training epochs", 1, int),
                             ("decay_every", "epochs per learning-rate decay", 1, int),
                             ("batch_size", "training batch size", 1, int),
+                            ("seed", "evaluation seed", 0, int),
                             ("lr", "learning rate", 0, float),
                             ("momentum", "SGD momentum", 0, float),
                             ("weight_decay", "weight decay", 0, float),
@@ -64,9 +65,7 @@ class EvalReport:
 
 
 def train_classifier(syn, encoder_cfg, config, seed):
-    """Train one classifier on the synthetic set; deterministic given seed.
-    Its epochs run in one ``T.parallel`` block, as the scoring chunks of
-    ``test_accuracy`` do."""
+    """Train one classifier on the synthetic set; deterministic given seed."""
     if syn.images.data.shape[0] == 0:
         raise EvalError("cannot train on an empty synthetic set")
     params = sample_params(encoder_cfg, seed, dtype=syn.images.data.dtype, trainable=True)
@@ -77,22 +76,21 @@ def train_classifier(syn, encoder_cfg, config, seed):
     n = images.shape[0]
     aug_spec = AugmentSpec()
     h, w = images.shape[2], images.shape[3]
-    with T.parallel():
-        for epoch in range(config.epochs):
-            lr = config.effective_lr(epoch)
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                xb = Tensor(images[idx])
-                if config.augment:
-                    xb = apply_augment(xb, aug_spec, draw_augment(aug_spec, h, w, rng))
-                trace = forward(params, xb)
-                loss = T.softmax_cross_entropy(trace.logits, labels[idx])
-                if not np.isfinite(loss.item()):
-                    raise EvalError(f"non-finite training loss at epoch {epoch}")
-                T.backward(loss)
-                for p, v in zip(params.parameters(), velocities):
-                    T.sgd_momentum_step(p, v, lr, config.momentum, config.weight_decay)
+    for epoch in range(config.epochs):
+        lr = config.effective_lr(epoch)
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            xb = Tensor(images[idx])
+            if config.augment:
+                xb = apply_augment(xb, aug_spec, draw_augment(aug_spec, h, w, rng))
+            trace = forward(params, xb)
+            loss = T.softmax_cross_entropy(trace.logits, labels[idx])
+            if not np.isfinite(loss.item()):
+                raise EvalError(f"non-finite training loss at epoch {epoch}")
+            T.backward(loss)
+            for p, v in zip(params.parameters(), velocities):
+                T.sgd_momentum_step(p, v, lr, config.momentum, config.weight_decay)
     return params
 
 
@@ -108,10 +106,9 @@ def test_accuracy(params, test_set):
     params = params.constant()
     chunk = params.config.nograd_chunk()
     correct = 0
-    with T.parallel():
-        for start in range(0, n, chunk):
-            logits = forward(params, Tensor(images[start:start + chunk])).logits.data
-            correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
+    for start in range(0, n, chunk):
+        logits = forward(params, Tensor(images[start:start + chunk])).logits.data
+        correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / n
 
 

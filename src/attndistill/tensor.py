@@ -26,11 +26,9 @@ class ShapeMismatch(TensorError):
 
 
 class _ThreadModes(threading.local):
-    """The calling thread's modes: whether its op calls split their samples
-    (inside ``parallel()``), and into how many parts the call it runs a part
-    of was cut, which shares out the scratch budget (``_group_size``)."""
+    """The calling thread's mode: into how many parts the op call it runs a
+    part of was cut, which shares out the scratch budget (``_group_size``)."""
 
-    split = False
     parts = 1
 
 
@@ -461,17 +459,17 @@ keeps them whole for the weight gradient) and a term of ``instance_norm``'s
 dX. A call split into parts gives each part an equal share."""
 
 SPLIT_FLOOR = 1 << 18
-"""Elements of an op call's largest array from which, inside ``parallel()``,
-the call splits its samples over the cores. In one process on a 2-CPU
-machine, with floors of 2**17, 2**18 and 2**19 taking turns over 10 rounds,
-the median step read: CIFAR shape at ipc 10 (1 class, 256 real images,
-width 128) 507, 513 and 543 ms; 2 classes at ipc 50 with 32 real images
-560, 543 and 600 ms; the toy benchmark step (64 real images of 16 px at
-width 32, whose 524,288-element real chunks split under all three) 54.1,
-54.2 and 54.1 ms; and the toy step with 16 real images, whose 131,072-element
-chunks split only under 2**17, 37.3, 37.5 and 36.9 ms. So 2**19, which keeps
-the ipc-10 block-2 (327,680 elements) and ipc-50 block-3 (409,600) ops
-whole, is slower, and 2**17 gains nothing over 2**18."""
+"""Elements of an op call's largest array from which the call splits its
+samples over the cores. In one process on a 2-CPU machine, with floors of
+2**17, 2**18 and 2**19 taking turns over 10 rounds, the median step read:
+CIFAR shape at ipc 10 (1 class, 256 real images, width 128) 507, 513 and
+543 ms; 2 classes at ipc 50 with 32 real images 560, 543 and 600 ms; the toy
+benchmark step (64 real images of 16 px at width 32, whose 524,288-element
+real chunks split under all three) 54.1, 54.2 and 54.1 ms; and the toy step
+with 16 real images, whose 131,072-element chunks split only under 2**17,
+37.3, 37.5 and 36.9 ms. So 2**19, which keeps the ipc-10 block-2 (327,680
+elements) and ipc-50 block-3 (409,600) ops whole, is slower, and 2**17 gains
+nothing over 2**18."""
 
 
 def _group_size(per_sample):
@@ -481,53 +479,29 @@ def _group_size(per_sample):
 
 
 def _find_blas():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    """The set-thread-count function of numpy's bundled OpenBLAS, or None."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
+        put = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
         return None
-    get.restype, get.argtypes = ctypes.c_int, ()
     put.restype, put.argtypes = None, (ctypes.c_int,)
-    return get, put
+    return put
 
 
-_BLAS = _find_blas()
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # usable CPUs
+# The engine owns the cores from import. With two or more, OpenBLAS is pinned
+# to one thread for the whole process, so that no GEMM, split or not, wakes
+# BLAS helper threads that then compete with the parts for the cores. Without
+# that symbol or with one usable CPU, BLAS keeps its count and no call splits.
+_set_blas_threads = _find_blas()
+if _set_blas_threads is None or _WORKERS < 2:
+    _WORKERS = 1
+else:
+    _set_blas_threads(1)
 # The threads that run all parts but the first; an executor starts none
 # before its first submit.
 _pool = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="tensor-part")
-
-
-class parallel:
-    """Block, one distillation step or one evaluated model, whose op calls may
-    split their samples over every usable CPU.
-
-    On entry numpy's bundled OpenBLAS is pinned to one thread, so that no
-    GEMM, split or not, wakes BLAS helper threads that then compete with the
-    parts for the cores, and the calling thread's op calls start splitting
-    when they reach SPLIT_FLOOR (``_over_samples``). On exit, also by an
-    exception, the previous thread count and mode return. Without that BLAS
-    symbol or with one usable CPU, the block changes nothing. Every op is
-    still entered and left on the calling thread.
-    """
-
-    def __enter__(self):
-        self._saved = None
-        if _BLAS is not None and _WORKERS > 1:
-            get, put = _BLAS
-            self._saved = (put, get(), _modes.split)
-            put(1)
-            _modes.split = True
-        return self
-
-    def __exit__(self, *exc):
-        if self._saved is not None:
-            put, threads, _modes.split = self._saved
-            put(threads)
-        return False
 
 
 def _over_samples(fn, rows, *args, scratch=0):
@@ -535,20 +509,19 @@ def _over_samples(fn, rows, *args, scratch=0):
     along their first axis, and ``scratch`` is the elements one sample takes
     in the buffers ``fn`` fills one sample group at a time (0 for none).
 
-    Inside ``parallel()``, when the largest array of ``rows`` has at least
-    SPLIT_FLOOR elements, the samples are cut into contiguous ranges, one per
-    usable CPU but no more than there are samples, or than the shares of
-    GROUP_BUDGET that hold one sample's ``scratch``. With two or more, ``fn``
-    runs on each range's slices of ``rows`` at the same time, the calling
-    thread taking the first, and each part sizes its groups by its share
-    (``_group_size``), so the parts' groups stay within GROUP_BUDGET in total.
-    Otherwise it is one call on the whole arrays. A part runs numpy only and
-    writes its own samples of arrays the op allocated before; the op keeps
-    every reduction across samples. An error in a part is raised once every
-    part has finished.
+    When the largest array of ``rows`` has at least SPLIT_FLOOR elements, the
+    samples are cut into contiguous ranges, one per usable CPU but no more
+    than there are samples, or than the shares of GROUP_BUDGET that hold one
+    sample's ``scratch``. With two or more, ``fn`` runs on each range's slices
+    of ``rows`` at the same time, the calling thread taking the first, and
+    each part sizes its groups by its share (``_group_size``), so the parts'
+    groups stay within GROUP_BUDGET in total. Otherwise it is one call on the
+    whole arrays. A part runs numpy only and writes its own samples of arrays
+    the op allocated before; the op keeps every reduction across samples. An
+    error in a part is raised once every part has finished.
     """
     n = parts = 1
-    if _modes.split and rows[0].ndim > 0 and max(r.size for r in rows) >= SPLIT_FLOOR:
+    if rows[0].ndim > 0 and max(r.size for r in rows) >= SPLIT_FLOOR:
         n = len(rows[0])
         parts = min(_WORKERS, n, GROUP_BUDGET // scratch if scratch else n)
     if parts < 2:

@@ -1,4 +1,4 @@
-"""Fixtures shared by the tests of sample splitting inside ``T.parallel()``."""
+"""Fixtures shared by the tests of sample splitting."""
 import threading
 
 import pytest
@@ -30,17 +30,7 @@ def parts(monkeypatch):
 
 @pytest.fixture
 def split(parts, monkeypatch):
-    """``parts`` with SPLIT_FLOOR at 0: inside ``T.parallel()`` every op call
-    of two or more samples splits."""
+    """``parts`` with SPLIT_FLOOR at 0: every op call of two or more samples
+    splits."""
     monkeypatch.setattr(T, "SPLIT_FLOOR", 0)
     return parts
-
-
-@pytest.fixture
-def blas(monkeypatch):
-    """numpy's OpenBLAS thread-count functions, or a stand-in where they are missing."""
-    if T._BLAS is None:
-        threads = [4]
-        monkeypatch.setattr(T, "_BLAS", (lambda: threads[0],
-                                         lambda n: threads.__setitem__(0, n)))
-    return T._BLAS

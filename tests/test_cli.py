@@ -241,6 +241,9 @@ def test_cmd_eval_non_finite_lr_exits_1_naming_the_field(tmp_path, capsys, monke
     ("eval", "--batch-size", "0", "batch_size (training batch size) must be an integer >= 1, "
                                   "got 0"),
     ("eval", "--width", "0", "width (channels per block) must be an integer >= 1, got 0"),
+    ("distill", "--seed", "-1", "seed (distillation seed) must be an integer >= 0, got -1"),
+    ("distill", "--toy-seed", "-1", "seed (toy data seed) must be an integer >= 0, got -1"),
+    ("eval", "--seed", "-3", "seed (evaluation seed) must be an integer >= 0, got -3"),
 ])
 def test_count_flag_out_of_range_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
                                                            command, flag, value, words):
@@ -389,6 +392,35 @@ def test_cmd_eval_format_toy_scores_on_the_manifest_toy_spec(tmp_path):
                        "--no-aug", "--report", str(report)) == 0
         accuracies.append(json.loads(report.read_text())["accuracies"])
     assert accuracies[0] == accuracies[1]
+
+
+@pytest.mark.parametrize("field,value,words", [
+    ("num_classes", 0, "num_classes (toy classes) must be an integer >= 1, got 0"),
+    ("images_per_class", 0, "images_per_class (toy images per class) must be an integer "
+                            ">= 1, got 0"),
+    ("image_size", 0, "image_size (toy image side in pixels) must be an integer >= 1, got 0"),
+    ("channels", 0, "channels (toy image channels) must be an integer >= 1, got 0"),
+    ("noise_std", float("nan"), "noise_std (toy pixel noise) must be a finite number >= 0, "
+                                "got nan"),
+    ("noise_std", -1.0, "noise_std (toy pixel noise) must be a finite number >= 0, got -1.0"),
+    ("noise_std", "0.3", "noise_std (toy pixel noise) must be a finite number >= 0, got 0.3"),
+    ("seed", -1, "seed (toy data seed) must be an integer >= 0, got -1"),
+], ids=["classes", "per-class", "size", "channels", "nan-noise", "negative-noise",
+        "string-noise", "seed"])
+def test_cmd_eval_manifest_toy_spec_out_of_range_exits_1_naming_the_field(
+        tmp_path, capsys, monkeypatch, field, value, words):
+    """The test set is rebuilt from the toy spec a manifest records. A NaN
+    noise used to score on an all-NaN test set and exit 0; the others ended
+    in numpy's or Python's words, which name no field."""
+    toy = {"num_classes": 2, "images_per_class": 8, "image_size": 8, "channels": 1,
+           "seed": 0, "noise_std": 0.3, field: value}
+    manifest = dataclasses.replace(manifest_stub(), dataset={"path": "toy", "toy": toy})
+    path = tmp_path / "syn.dds"
+    write_synthetic(path, small_syn(k=2), 2, manifest)
+    monkeypatch.setattr(cli, "evaluate_synthetic", lambda *a: pytest.fail("trained"))
+    assert run_cli("eval", "--syn", str(path), "--dataset", "toy",
+                   "--models", "1", "--epochs", "1") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {words}"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "toy"]])

@@ -1,8 +1,9 @@
-"""Sample splitting inside ``T.parallel()``: which op calls split,
-bit-identical results, the BLAS thread count, the shared scratch budget,
-error hand-off, and every public function on the calling thread."""
+"""Sample splitting of op calls: which calls split, bit-identical results,
+the BLAS pin made at import, the shared scratch budget, error hand-off, and
+every public function on the calling thread."""
 import functools
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -15,9 +16,9 @@ import pytest
 from attndistill import distill, evaluation, losses
 from attndistill import tensor as T
 from attndistill.data import ToySpec, gen_toy
-from attndistill.distill import DistillConfig, DistillError, distill_step, make_state
+from attndistill.distill import DistillConfig, distill_step, make_state
 from attndistill.encoder import EncoderConfig
-from attndistill.evaluation import EvalConfig, EvalError, train_classifier
+from attndistill.evaluation import EvalConfig, train_classifier
 from attndistill.synfile import SyntheticSet
 from attndistill.tensor import Tensor
 
@@ -60,10 +61,9 @@ def test_split_op_matches_unsplit_bit_for_bit(split, monkeypatch, name, dtype, w
         x = Tensor(x0.copy(), requires_grad=record)
         c = {"w": Tensor(w0), "gamma": Tensor(gamma0, requires_grad=record),
              "beta": Tensor(beta0, requires_grad=record)}
-        with T.parallel():
-            out = op(x, c)
-            if record:
-                T.backward(T.sum_all(T.mul(out, Tensor(g0))))
+        out = op(x, c)
+        if record:
+            T.backward(T.sum_all(T.mul(out, Tensor(g0))))
         return [out.data.copy(), x.grad, c["gamma"].grad, c["beta"].grad]
 
     parts = split(1)
@@ -79,11 +79,10 @@ def test_split_op_matches_unsplit_bit_for_bit(split, monkeypatch, name, dtype, w
 
 
 # ---------------------------------------------------------------------------
-# the floor is per call: inside the region a call splits iff its largest array
-# reaches it
+# the floor is per call: a call splits iff its largest array reaches it
 
 
-def test_a_call_splits_iff_its_largest_array_reaches_the_floor(parts, blas, monkeypatch):
+def test_a_call_splits_iff_its_largest_array_reaches_the_floor(parts, monkeypatch):
     """SPLIT_FLOOR at 16 elements; the two workers stand for a 2-CPU machine
     on any box."""
     monkeypatch.setattr(T, "SPLIT_FLOOR", 16)
@@ -92,26 +91,22 @@ def test_a_call_splits_iff_its_largest_array_reaches_the_floor(parts, blas, monk
     rng = np.random.default_rng(7)
     below = Tensor(rng.normal(size=(2, 1, 2, 2)).astype(np.float32))  # 8 elements
     at = Tensor(rng.normal(size=(2, 1, 2, 4)).astype(np.float32))  # 16 elements
-    with T.parallel():
-        T.relu(below)
-        assert seen == [(2, main)]
-        seen.clear()
-        T.relu(at)
-        assert sorted(m for m, _ in seen) == [1, 1] and len({t for _, t in seen}) == 2
-        seen.clear()
-        # 8 input elements, but the output holds 2*8*2*2 = 64: the call splits
-        T.conv2d(below, Tensor(rng.normal(size=(8, 1, 3, 3)).astype(np.float32)))
-        assert sorted(m for m, _ in seen) == [1, 1] and len({t for _, t in seen}) == 2
-        seen.clear()
-        T.relu(Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32)))  # one sample
-        assert seen == [(1, main)]
-    seen.clear()
-    T.relu(at)  # outside the region nothing splits
+    T.relu(below)
     assert seen == [(2, main)]
+    seen.clear()
+    T.relu(at)
+    assert sorted(m for m, _ in seen) == [1, 1] and len({t for _, t in seen}) == 2
+    seen.clear()
+    # 8 input elements, but the output holds 2*8*2*2 = 64: the call splits
+    T.conv2d(below, Tensor(rng.normal(size=(8, 1, 3, 3)).astype(np.float32)))
+    assert sorted(m for m, _ in seen) == [1, 1] and len({t for _, t in seen}) == 2
+    seen.clear()
+    T.relu(Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32)))  # one sample
+    assert seen == [(1, main)]
 
 
 # ---------------------------------------------------------------------------
-# (b, c) distill_step: 1 worker, 2 workers and no BLAS symbol give the same bytes
+# (b, c) distill_step: 1 worker and 2 or 3 workers give the same bytes
 
 
 def _toy_state(dtype):
@@ -146,17 +141,6 @@ def test_distill_step_bytes_do_not_depend_on_workers(split, dtype, workers):
     assert one == many
 
 
-def test_region_without_blas_symbol_changes_nothing(split, monkeypatch):
-    split(1)
-    one = _three_steps(np.float32)
-    parts = split(2)
-    monkeypatch.setattr(T, "_BLAS", None)
-    with T.parallel():
-        assert not T._modes.split
-    assert _three_steps(np.float32) == one
-    assert parts and all(t == threading.get_ident() for _, t in parts)
-
-
 # ---------------------------------------------------------------------------
 # the real SPLIT_FLOOR: the toy gate's real chunks split, and a CIFAR ipc-1 step
 
@@ -172,7 +156,7 @@ def _steps(classes, channels, size, width, ipc, real, dtype, steps=1):
     return state.syn.images.data.tobytes(), breakdowns
 
 
-def test_toy_gate_step_splits_only_its_real_chunks_bit_for_bit(parts, blas, monkeypatch):
+def test_toy_gate_step_splits_only_its_real_chunks_bit_for_bit(parts, monkeypatch):
     """4 classes of 1x16x16, width 32, ipc 10, 64 real images, at the real
     floor: each class's real chunk (64*32*16*16 elements in ``conv_blocks``)
     splits, and no synthetic op (at most 10*32*16*16) does."""
@@ -196,7 +180,7 @@ def test_toy_gate_step_splits_only_its_real_chunks_bit_for_bit(parts, blas, monk
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_cifar_ipc1_step_splits_by_its_real_chunk_bit_for_bit(parts, blas, dtype):
+def test_cifar_ipc1_step_splits_by_its_real_chunk_bit_for_bit(parts, dtype):
     """One class of 3x32x32 at width 128, ipc 1, 8 real images: the synthetic
     ops hold one sample each, and the real chunk (8*128*32*32 elements in
     ``conv_blocks``) splits."""
@@ -229,7 +213,7 @@ def _train_and_score(syn, enc, test):
     return [p.data.tobytes() for p in model.parameters()], evaluation.test_accuracy(model, test)
 
 
-def test_trained_parameters_and_accuracy_do_not_depend_on_workers(parts, blas):
+def test_trained_parameters_and_accuracy_do_not_depend_on_workers(parts):
     syn, enc, test = _eval_setup()
     parts(1)
     one = _train_and_score(syn, enc, test)
@@ -238,52 +222,6 @@ def test_trained_parameters_and_accuracy_do_not_depend_on_workers(parts, blas):
     main = threading.get_ident()
     assert sorted(m for m, t in seen if t != main).count(32) >= 2  # training and scoring
     assert one == many
-
-
-# ---------------------------------------------------------------------------
-# (d) the BLAS thread count and the split mode return after a region
-
-
-def test_region_pins_blas_to_one_thread_and_restores_it(split, blas):
-    split(2)
-    get, _ = blas
-    before = get()
-    with T.parallel():
-        assert get() == 1 and T._modes.split
-        with T.parallel():
-            assert get() == 1
-        assert get() == 1 and T._modes.split
-    assert get() == before and not T._modes.split
-
-
-def test_region_restores_blas_threads_after_distill_error(split, blas):
-    split(2)
-    get, _ = blas
-    before = get()
-    state = _toy_state(np.float32)
-    state.syn.images.data[:] = np.nan
-    with pytest.raises(DistillError, match="non-finite loss"):
-        distill_step(state, 0)
-    assert get() == before and not T._modes.split
-
-
-def test_region_restores_blas_threads_after_eval_error(parts, blas, monkeypatch):
-    parts(2)
-    get, _ = blas
-    before = get()
-    inside = []
-    loss = T.softmax_cross_entropy
-
-    def spy(*args):
-        inside.append(get())
-        return loss(*args)
-
-    monkeypatch.setattr(T, "softmax_cross_entropy", spy)
-    syn, enc, _ = _eval_setup()
-    syn.images.data[:] = np.nan
-    with pytest.raises(EvalError, match="non-finite training loss"):
-        train_classifier(syn, enc, EvalConfig(num_models=1, epochs=1, batch_size=64), 5)
-    assert inside == [1] and get() == before and not T._modes.split
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +250,9 @@ def test_the_groups_of_a_split_call_stay_within_the_budget_in_total(split, monke
 
     def run():
         groups.clear()
-        with T.parallel():
-            x = Tensor(x0, requires_grad=True)
-            T.backward(T.sum_all(T.instance_norm(T.conv2d(x, w), gamma, beta)))
-            fused = T.conv_blocks(Tensor(x0), [(w, gamma, beta)])
+        x = Tensor(x0, requires_grad=True)
+        T.backward(T.sum_all(T.instance_norm(T.conv2d(x, w), gamma, beta)))
+        fused = T.conv_blocks(Tensor(x0), [(w, gamma, beta)])
         return list(groups), x.grad, fused[0].data
 
     split(1)
@@ -337,12 +274,11 @@ def test_a_call_takes_no_more_parts_than_shares_that_hold_a_sample(split, monkey
     seen = split(3)
     rng = np.random.default_rng(13)
     x = Tensor(rng.normal(size=(6, 2, 6, 6)).astype(np.float32))
-    with T.parallel():
-        T.conv2d(x, Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float32)))
-        assert sorted(m for m, _ in seen) == [3, 3]
-        seen.clear()
-        T.relu(x)
-        assert sorted(m for m, _ in seen) == [2, 2, 2]
+    T.conv2d(x, Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float32)))
+    assert sorted(m for m, _ in seen) == [3, 3]
+    seen.clear()
+    T.relu(x)
+    assert sorted(m for m, _ in seen) == [2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +296,7 @@ def test_failing_part_is_raised_after_the_others_finish(split, failing):
         time.sleep(0.05)
         finished.append(samples[0])
 
-    with T.parallel(), pytest.raises(ValueError, match=f"part at {failing}"):
+    with pytest.raises(ValueError, match=f"part at {failing}"):
         T._over_samples(fn, (np.arange(6),))
     assert sorted(finished) == sorted({0, 2, 4} - {failing})
 
@@ -400,10 +336,53 @@ def test_public_functions_run_on_the_calling_thread(split, monkeypatch):
     assert any(t != main for _, t in parts)
 
 
-def test_importing_the_engine_starts_no_thread():
-    """The part pool is made at import; its threads start on first use."""
-    code = ("import threading, attndistill.tensor; "
-            "assert threading.active_count() == 1, threading.enumerate()")
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that sees this one's path; its stdout."""
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_importing_the_engine_starts_no_thread():
+    """The part pool is made at import; its threads start on first use."""
+    _run_python("import threading, attndistill.tensor; "
+                "assert threading.active_count() == 1, threading.enumerate()")
+
+
+# ---------------------------------------------------------------------------
+# (d) the engine pins BLAS once, at import
+
+
+_IMPORT_ENGINE = """
+import ctypes, json, threading
+import numpy as np
+lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+put(2)
+before = get()
+if {hidden}:
+    ctypes.CDLL = lambda path: object()  # a library that exports no symbol
+from attndistill import tensor as T
+after, started = get(), threading.active_count() - 1
+T.relu(T.Tensor(np.ones((2, T.SPLIT_FLOOR // 2), np.float32)))
+print(json.dumps([before, after, started, T._WORKERS, threading.active_count() - 1]))
+"""
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["found", "hidden"])
+def test_importing_the_engine_pins_blas_unless_it_cannot(hidden):
+    """With numpy's OpenBLAS symbol and 2 or more usable CPUs, importing the
+    engine sets OpenBLAS to 1 thread for the process, starts no thread, and
+    a call at the floor splits with no further set-up. With the symbol hidden
+    before import, the engine keeps 1 worker, so no call splits, and leaves
+    OpenBLAS's count as it was."""
+    if T._find_blas() is None:
+        pytest.skip("numpy bundles no scipy-openblas")
+    before, after, started, workers, threads = json.loads(
+        _run_python(_IMPORT_ENGINE.format(hidden=hidden)))
+    assert started == 0
+    if hidden or len(os.sched_getaffinity(0)) < 2:
+        assert (after, workers, threads) == (before, 1, 0)
+    else:
+        assert before == 2 and (after, workers, threads) == (1, len(os.sched_getaffinity(0)), 1)

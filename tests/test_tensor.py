@@ -264,10 +264,10 @@ def _chained_blocks(x, blocks):
 def test_conv_blocks_equal_the_chained_ops_bit_for_bit(split, monkeypatch, dtype, shape,
                                                        budget):
     """28 px pools maps of 28, 14 and 7 px, as an MNIST encoder does; a batch
-    of one; odd sizes. Outside a region and inside one of 2 parts, where the
-    whole pass is one hand-off (2 + 3 samples of 5). Budget 300 holds no
-    sample's first-block columns, so the pass does not split: a part's share
-    of the budget must hold one sample's."""
+    of one; odd sizes. With 1 worker and with 2, where the whole pass is one
+    hand-off (2 + 3 samples of 5). Budget 300 holds no sample's first-block
+    columns, so the pass does not split: a part's share of the budget must
+    hold one sample's."""
     if budget is not None:
         monkeypatch.setattr(T, "GROUP_BUDGET", budget)
     rng = np.random.default_rng(1808)
@@ -277,8 +277,7 @@ def test_conv_blocks_equal_the_chained_ops_bit_for_bit(split, monkeypatch, dtype
     chained = _chained_blocks(x, blocks)
     for workers in (1, 2):
         parts = split(workers)
-        with T.parallel():
-            fused = T.conv_blocks(x, blocks)
+        fused = T.conv_blocks(x, blocks)
         assert len(fused) == len(chained)
         for a, b in zip(chained, fused):
             assert a.dtype == b.dtype and np.array_equal(a.data, b.data)
@@ -298,8 +297,7 @@ def test_conv_blocks_take_each_blocks_type_as_the_chain_does(split):
               + _blocks(rng, np.float32, 5, (3,)))
     chained = _chained_blocks(x, blocks)
     split(2)
-    with T.parallel():
-        fused = T.conv_blocks(x, blocks)
+    fused = T.conv_blocks(x, blocks)
     assert [f.dtype for f in fused] == [np.float32, np.float64, np.float64]
     for a, b in zip(chained, fused):
         assert a.dtype == b.dtype and np.array_equal(a.data, b.data)
