@@ -19,23 +19,27 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
+from attndistill.cli import add_field_flag
+from attndistill.distill import DistillConfig
+from attndistill.encoder import EncoderConfig
 from oracles import matching_gradient_error
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--classes", type=int, default=2)
-    parser.add_argument("--size", type=int, default=8)
-    parser.add_argument("--width", type=int, default=8)
-    parser.add_argument("--batch", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=33)
+    add_field_flag(parser, "--classes", EncoderConfig, "num_classes", default=2)
+    add_field_flag(parser, "--size", EncoderConfig, "input_size", default=8)
+    add_field_flag(parser, "--width", EncoderConfig, "width", default=8)
+    add_field_flag(parser, "--batch", DistillConfig, "real_batch_per_class", default=4)
+    add_field_flag(parser, "--seed", DistillConfig, "seed", default=33,
+                   help="encoder seed")
     args = parser.parse_args()
 
     failed = False
     for dtype, h, tol in ((np.float32, 1e-3, 1e-3), (np.float64, 1e-4, 1e-6)):
         t0 = time.time()
-        worst = matching_gradient_error(dtype, h, args.classes, args.size, args.width,
-                                        args.batch, args.seed)
+        worst = matching_gradient_error(dtype, h, args.num_classes, args.input_size, args.width,
+                                        args.real_batch_per_class, args.seed)
         verdict = "OK" if worst < tol else "TOO LARGE"
         print(f"{np.dtype(dtype).name:8s} max rel err {worst:.3e} "
               f"(tolerance {tol:g}) [{verdict}] in {time.time() - t0:.1f}s")

@@ -17,18 +17,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from attndistill import benchmark
+from attndistill.cli import add_field_flag
+from attndistill.distill import DistillConfig
+from attndistill.evaluation import EvalConfig
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--skip-ablations", action="store_true",
                         help="only run distilled vs the two selection baselines")
-    parser.add_argument("--iters", type=int, default=benchmark.DISTILL_ITERATIONS,
-                        help="the distillation iterations")
-    parser.add_argument("--models", type=int, default=benchmark.EVAL.num_models,
-                        help="the number of evaluation models")
+    add_field_flag(parser, "--iters", DistillConfig, "iterations",
+                   default=benchmark.DISTILL_ITERATIONS)
+    add_field_flag(parser, "--models", EvalConfig, "num_models", default=benchmark.EVAL.num_models)
     args = parser.parse_args()
-    eval_cfg = dataclasses.replace(benchmark.EVAL, num_models=args.models)
+    eval_cfg = dataclasses.replace(benchmark.EVAL, num_models=args.num_models)
 
     train, test = benchmark.load_benchmark_data()
     print(f"toy benchmark: {benchmark.TOY_SPEC}")
@@ -49,7 +51,7 @@ def main():
 
         t0 = time.time()
         res = benchmark.run_pipeline(name, train, test, sink=sink, eval_config=eval_cfg,
-                                     iterations=args.iters)
+                                     iterations=args.iterations)
         results.append((label, res, time.time() - t0))
         accs = " ".join(f"{a:.3f}" for a in res.accuracies)
         print(f"{label:22s} mean {res.mean:.3f}  models [{accs}]  ({time.time() - t0:.0f}s)\n")

@@ -1,7 +1,9 @@
 """Command-line surface: distill, eval, export.
 
 Exit codes: 0 success, 1 runtime failure (diagnostic on stderr), 2 flag or
-parse errors (argparse usage text).
+parse errors (argparse usage text). A flag value out of its range exits 2
+before any data is read, naming the flag and the config field; checks that
+need the data or the other flags exit 1.
 """
 from __future__ import annotations
 
@@ -10,14 +12,14 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, data
 from .augment import AugmentSpec
-from .distill import DistillConfig, run_distillation
+from .distill import INIT_STRATEGIES, DistillConfig, run_distillation
 from .encoder import EncoderConfig, default_depth
 from .evaluation import EvalConfig, evaluate_synthetic
 from .synfile import RunManifest, read_synthetic, write_synthetic
@@ -46,24 +48,46 @@ def _parse_layers(text):
     return layers
 
 
-def _at_least_one(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _bounded_type(name, bound):
+    """The argparse type of a value held to ``bound``: a value out of range
+    exits 2 at parse time, in one line naming the flag and ``name``."""
+    def parse(text):
+        try:
+            value = bound.kind(text)
+        except ValueError:
+            value = text
+        try:
+            bound.check(name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
-def _finite_non_negative(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+def add_field_flag(parser, flag, config, name, prefix="", resolved=None, **kw):
+    """Add ``flag`` for the field ``name`` of the dataclass ``config``, stored
+    as ``prefix + name`` (what ``_config`` reads). Its default is the field's,
+    or None when ``resolved`` says how the command works it out from the data.
+    A bounded field gives its meaning as the help and its range as the type.
+    ``kw`` goes to ``add_argument`` and takes precedence."""
+    f = next(f for f in fields(config) if f.name == name)
+    default = f.default if f.default_factory is MISSING else f.default_factory()
+    opts = {"dest": prefix + name, "default": default}
+    if "bound" in f.metadata:
+        opts.update(type=_bounded_type(name, f.metadata["bound"]),
+                    help=f.metadata["bound"].meaning)
+    if resolved:
+        opts.update(default=None, help=f"{opts['help']} (default {resolved})")
+    parser.add_argument(flag, **{**opts, **kw})
+
+
+def _config(config, args, prefix="", **resolved):
+    """``config`` built from the flags ``add_field_flag`` stored under
+    ``prefix``: a flag left at None takes its value from ``resolved``, or
+    else the field's default."""
+    given = {f.name: getattr(args, prefix + f.name) for f in fields(config)
+             if getattr(args, prefix + f.name, None) is not None}
+    return config(**{**resolved, **given})
 
 
 def _add_dataset_flags(p):
@@ -71,12 +95,11 @@ def _add_dataset_flags(p):
                    help="dataset path, or 'toy' for the synthetic toy generator")
     p.add_argument("--format", choices=("cifar10", "mnist", "toy"), default=None,
                    help="dataset format (inferred as 'toy' when --dataset toy)")
-    p.add_argument("--toy-classes", type=_at_least_one, default=4)
-    p.add_argument("--toy-per-class", type=_at_least_one, default=64)
-    p.add_argument("--toy-size", type=_at_least_one, default=8)
-    p.add_argument("--toy-noise", type=_finite_non_negative, default=0.3)
-    p.add_argument("--toy-seed", type=int, default=0)
-    p.add_argument("--mnist-pad", type=_at_least_one, default=None,
+    for flag, name in (("--toy-classes", "num_classes"), ("--toy-per-class", "images_per_class"),
+                       ("--toy-size", "image_size"), ("--toy-noise", "noise_std"),
+                       ("--toy-seed", "seed")):
+        add_field_flag(p, flag, data.ToySpec, name, prefix="toy_")
+    p.add_argument("--mnist-pad", type=_bounded_type("resize_to", data.RESIZE_TO),
                    help="center-crop/zero-pad MNIST images to this size")
 
 
@@ -90,24 +113,26 @@ def build_parser():
 
     d = sub.add_parser("distill", help="optimize a synthetic set")
     _add_dataset_flags(d)
-    d.add_argument("--ipc", type=int, default=10, help="images per class")
-    d.add_argument("--iters", type=int, default=8000)
-    d.add_argument("--lr", type=float, default=None,
-                   help="image learning rate (default 1.0 for ipc<=50, else 10.0)")
-    d.add_argument("--momentum", type=float, default=0.5)
-    d.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="task balance (default 0.01 for <=32px inputs, else 0.02)")
-    d.add_argument("--p", type=float, default=4.0, help="attention exponent")
-    d.add_argument("--init", choices=("random", "kcenter", "noise"), default="random")
-    d.add_argument("--real-batch", type=int, default=256)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--width", type=int, default=128)
-    d.add_argument("--depth", type=int, default=None)
-    d.add_argument("--layers", type=_parse_layers, default=None,
+    add_field_flag(d, "--ipc", DistillConfig, "ipc")
+    add_field_flag(d, "--iters", DistillConfig, "iterations")
+    add_field_flag(d, "--lr", DistillConfig, "lr_images", resolved="1.0 for ipc<=50, else 10.0")
+    add_field_flag(d, "--momentum", DistillConfig, "image_momentum")
+    add_field_flag(d, "--lambda", DistillConfig, "lam",
+                   resolved="0.01 for <=32px inputs, else 0.02")
+    add_field_flag(d, "--p", DistillConfig, "p")
+    add_field_flag(d, "--init", DistillConfig, "init", choices=INIT_STRATEGIES)
+    add_field_flag(d, "--real-batch", DistillConfig, "real_batch_per_class")
+    add_field_flag(d, "--seed", DistillConfig, "seed")
+    add_field_flag(d, "--width", EncoderConfig, "width")
+    add_field_flag(d, "--depth", EncoderConfig, "depth",
+                   resolved="3 up to 32px inputs, 4 up to 64px, else 5")
+    add_field_flag(d, "--layers", DistillConfig, "layers", type=_parse_layers,
                    help="comma-separated intermediate layers for attention matching")
-    d.add_argument("--no-sam", action="store_true", help="drop the attention term")
-    d.add_argument("--no-mmd", action="store_true", help="drop the feature-mean term")
-    d.add_argument("--aug", type=_parse_aug, default=AugmentSpec(),
+    d.add_argument("--no-sam", dest="use_sam", action="store_false",
+                   help="drop the attention term")
+    d.add_argument("--no-mmd", dest="use_mmd", action="store_false",
+                   help="drop the feature-mean term")
+    add_field_flag(d, "--aug", DistillConfig, "augment", type=_parse_aug,
                    help="comma-separated transforms among flip,crop,cutout, or 'none'")
     d.add_argument("--out", required=True, help="output synthetic-set file")
     d.add_argument("--metrics", default=None, help="per-iteration loss CSV")
@@ -116,14 +141,14 @@ def build_parser():
     e = sub.add_parser("eval", help="train fresh classifiers on a synthetic set")
     e.add_argument("--syn", required=True, help="synthetic-set file")
     _add_dataset_flags(e)
-    e.add_argument("--models", type=int, default=5)
-    e.add_argument("--epochs", type=int, default=300)
-    e.add_argument("--lr", type=float, default=0.01)
-    e.add_argument("--batch-size", type=int, default=256)
-    e.add_argument("--no-aug", action="store_true")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--width", type=int, default=None, help="override stored encoder width")
-    e.add_argument("--depth", type=int, default=None, help="override stored encoder depth")
+    add_field_flag(e, "--models", EvalConfig, "num_models")
+    add_field_flag(e, "--epochs", EvalConfig, "epochs")
+    add_field_flag(e, "--lr", EvalConfig, "lr")
+    add_field_flag(e, "--batch-size", EvalConfig, "batch_size")
+    e.add_argument("--no-aug", dest="augment", action="store_false")
+    add_field_flag(e, "--seed", EvalConfig, "seed")
+    add_field_flag(e, "--width", EncoderConfig, "width", resolved="the synthetic set's")
+    add_field_flag(e, "--depth", EncoderConfig, "depth", resolved="the synthetic set's")
     e.add_argument("--report", default=None, help="JSON report path")
     e.set_defaults(func=cmd_eval)
 
@@ -132,12 +157,6 @@ def build_parser():
     x.add_argument("--out", required=True, help="output .ppm path (binary P6)")
     x.set_defaults(func=cmd_export)
     return parser
-
-
-def _toy_spec(args):
-    return data.ToySpec(num_classes=args.toy_classes, images_per_class=args.toy_per_class,
-                        image_size=args.toy_size, seed=args.toy_seed,
-                        noise_std=args.toy_noise)
 
 
 def _sha256_files(paths):
@@ -161,7 +180,7 @@ def _load_dataset(args, split, stats=None, toy=None):
     """
     fmt = _dataset_format(args)
     if fmt == "toy":
-        spec = toy or _toy_spec(args)
+        spec = toy or _config(data.ToySpec, args, prefix="toy_")
         train, test = data.gen_toy(spec)
         ident = {"path": "toy", "toy": asdict(spec),
                  "sha256": hashlib.sha256(
@@ -196,17 +215,9 @@ def cmd_distill(args):
     start = time.monotonic()
     train, ident = _load_dataset(args, "train")
     c, h, w = train.image_shape
-    lam = args.lam if args.lam is not None else (0.01 if h <= 32 else 0.02)
-    config = DistillConfig(
-        ipc=args.ipc, iterations=args.iters, lr_images=args.lr,
-        image_momentum=args.momentum, lam=lam, p=args.p,
-        real_batch_per_class=args.real_batch, seed=args.seed, init=args.init,
-        layers=args.layers, use_sam=not args.no_sam, use_mmd=not args.no_mmd,
-        augment=args.aug)
-    encoder_cfg = EncoderConfig(
-        depth=args.depth if args.depth is not None else default_depth(h),
-        width=args.width, input_channels=c, input_size=h,
-        num_classes=train.num_classes)
+    config = _config(DistillConfig, args, lam=0.01 if h <= 32 else 0.02)
+    encoder_cfg = _config(EncoderConfig, args, depth=default_depth(h), input_channels=c,
+                          input_size=h, num_classes=train.num_classes)
 
     csv_file = open(args.metrics, "w") if args.metrics else None
     try:
@@ -227,7 +238,7 @@ def cmd_distill(args):
     cfg_dict["layers"] = list(config.layers) if config.layers is not None else None
     manifest = RunManifest(
         tool_version=__version__,
-        seed=args.seed,
+        seed=config.seed,
         dataset=ident,
         distill=cfg_dict,
         encoder=asdict(encoder_cfg),
@@ -273,14 +284,10 @@ def cmd_eval(args):
     if test.image_shape != (c, h, w):
         raise ValueError("the test images are {}x{}x{}, the synthetic images {}x{}x{}"
                          .format(*test.image_shape, c, h, w))
-    enc = manifest.get("encoder", {})
-    encoder_cfg = EncoderConfig(
-        depth=args.depth if args.depth is not None else enc.get("depth", default_depth(h)),
-        width=args.width if args.width is not None else enc.get("width", 128),
-        input_channels=c, input_size=h, num_classes=syn.num_classes)
-    config = EvalConfig(num_models=args.models, epochs=args.epochs, lr=args.lr,
-                        batch_size=args.batch_size, augment=not args.no_aug,
-                        seed=args.seed)
+    stored = {k: v for k, v in manifest.get("encoder", {}).items() if k in ("depth", "width")}
+    encoder_cfg = _config(EncoderConfig, args, **{"depth": default_depth(h), **stored},
+                          input_channels=c, input_size=h, num_classes=syn.num_classes)
+    config = _config(EvalConfig, args)
     report = evaluate_synthetic(syn, encoder_cfg, test, config)
     if args.report:
         Path(args.report).write_text(report.to_json())

@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import check_fields
+from . import Bound, bounded, check_fields
 from .tensor import Tensor
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
+RESIZE_TO = Bound("MNIST image side in pixels", 1, int)
+"""The range of ``load_mnist``'s ``resize_to``."""
 
 
 class FormatError(ValueError):
@@ -120,6 +122,8 @@ def load_mnist(images_path, labels_path, stats=None, resize_to=None):
     Grayscale (N, 1, 28, 28) scaled to [0, 1] then standardized; optionally
     center-crop or zero-pad the square images to ``resize_to`` pixels first.
     """
+    if resize_to is not None:
+        RESIZE_TO.check("resize_to", resize_to)
     img_blob = Path(images_path).read_bytes()
     magic = _read_be32(img_blob, 0, images_path)
     if magic != MNIST_IMAGE_MAGIC:
@@ -172,20 +176,15 @@ def load_mnist(images_path, labels_path, stats=None, resize_to=None):
 
 @dataclass(frozen=True)
 class ToySpec:
-    num_classes: int = 4
-    images_per_class: int = 64
-    image_size: int = 8
-    channels: int = 1
-    seed: int = 0
-    noise_std: float = 0.3
+    num_classes: int = bounded(4, "toy classes", 1, int)
+    images_per_class: int = bounded(64, "toy images per class", 1, int)
+    image_size: int = bounded(8, "toy image side in pixels", 1, int)
+    channels: int = bounded(1, "toy image channels", 1, int)
+    seed: int = bounded(0, "toy data seed", 0, int)
+    noise_std: float = bounded(0.3, "toy pixel noise", 0, float)
 
     def __post_init__(self):
-        check_fields(self, (("num_classes", "toy classes", 1, int),
-                            ("images_per_class", "toy images per class", 1, int),
-                            ("image_size", "toy image side in pixels", 1, int),
-                            ("channels", "toy image channels", 1, int),
-                            ("noise_std", "toy pixel noise", 0, float),
-                            ("seed", "toy data seed", 0, int)))
+        check_fields(self)
 
 
 def toy_templates(spec):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import check_fields, losses, tensor as T
+from . import bounded, check_fields, losses, tensor as T
 from .augment import AugmentSpec, draw_augment, siamese_augment
 from .data import DatasetIndex
 from .encoder import EncoderConfig, forward, sample_params
@@ -33,38 +33,33 @@ def _derive_seeds(*key, count=1):
 # configuration
 
 
+INIT_STRATEGIES = ("random", "kcenter", "noise")
+
+
 @dataclass
 class DistillConfig:
-    ipc: int = 10
-    iterations: int = 8000
-    lr_images: float | None = None      # resolved: 1.0 for ipc <= 50 else 10.0
-    image_momentum: float = 0.5
-    weight_decay_images: float = 0.0
-    lam: float = 0.01
-    p: float = 4.0
-    real_batch_per_class: int = 256
-    seed: int = 0
-    init: str = "random"                # random | kcenter | noise
+    ipc: int = bounded(10, "images per class", 1, int)
+    iterations: int = bounded(8000, "optimization steps", 0, int)
+    lr_images: float | None = bounded(None, "image learning rate", 0, float)
+    image_momentum: float = bounded(0.5, "image momentum", 0, float)
+    weight_decay_images: float = bounded(0.0, "image weight decay", 0, float)
+    lam: float = bounded(0.01, "task balance", 0, float)
+    p: float = bounded(4.0, "attention exponent", 1, float)
+    real_batch_per_class: int = bounded(256, "real images per class and step", 1, int)
+    seed: int = bounded(0, "distillation seed", 0, int)
+    init: str = "random"                # one of INIT_STRATEGIES
     layers: tuple[int, ...] | None = None   # None = all intermediate layers
     use_sam: bool = True
     use_mmd: bool = True
     augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
-        if self.init not in ("random", "kcenter", "noise"):
+        if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
         _require_a_term(self, self.use_sam and (self.layers is None or len(self.layers) > 0))
         if self.lr_images is None:
             self.lr_images = 1.0 if self.ipc <= 50 else 10.0
-        check_fields(self, (("ipc", "images per class", 1, int),
-                            ("iterations", "optimization steps", 0, int),
-                            ("real_batch_per_class", "real images per class and step", 1, int),
-                            ("seed", "distillation seed", 0, int),
-                            ("lr_images", "image learning rate", 0, float),
-                            ("image_momentum", "image momentum", 0, float),
-                            ("weight_decay_images", "image weight decay", 0, float),
-                            ("lam", "task balance", 0, float),
-                            ("p", "attention exponent", 1, float)))
+        check_fields(self)
 
 
 def _require_a_term(cfg, attention_on):

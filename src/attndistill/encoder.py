@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import check_fields
+from . import bounded, check_fields
 from . import tensor as T
 from .tensor import Tensor
 
@@ -28,18 +28,14 @@ def default_depth(input_size):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    depth: int = 3
-    width: int = 128
-    input_channels: int = 3
-    input_size: int = 32
-    num_classes: int = 10
+    depth: int = bounded(3, "conv blocks", 1, int)
+    width: int = bounded(128, "channels per block", 1, int)
+    input_channels: int = bounded(3, "image channels", 1, int)
+    input_size: int = bounded(32, "image side in pixels", 1, int)
+    num_classes: int = bounded(10, "classes", 1, int)
 
     def __post_init__(self):
-        check_fields(self, (("depth", "conv blocks", 1, int),
-                            ("width", "channels per block", 1, int),
-                            ("input_channels", "image channels", 1, int),
-                            ("input_size", "image side in pixels", 1, int),
-                            ("num_classes", "classes", 1, int)))
+        check_fields(self)
         size = self.input_size
         for block in range(self.depth):
             if size < 2:

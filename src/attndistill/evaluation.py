@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import check_fields, tensor as T
+from . import bounded, check_fields, tensor as T
 from .augment import AugmentSpec, apply_augment, draw_augment
 from .encoder import forward, sample_params
 from .tensor import Tensor
@@ -23,27 +23,19 @@ class EvalError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    num_models: int = 5
-    epochs: int = 300
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    decay_rate: float = 0.5
-    decay_every: int = 15
-    batch_size: int = 256
+    num_models: int = bounded(5, "models to train", 1, int)
+    epochs: int = bounded(300, "training epochs", 1, int)
+    lr: float = bounded(0.01, "learning rate", 0, float)
+    momentum: float = bounded(0.9, "SGD momentum", 0, float)
+    weight_decay: float = bounded(5e-4, "weight decay", 0, float)
+    decay_rate: float = bounded(0.5, "learning-rate decay factor", 0, float)
+    decay_every: int = bounded(15, "epochs per learning-rate decay", 1, int)
+    batch_size: int = bounded(256, "training batch size", 1, int)
     augment: bool = True
-    seed: int = 0
+    seed: int = bounded(0, "evaluation seed", 0, int)
 
     def __post_init__(self):
-        check_fields(self, (("num_models", "models to train", 1, int),
-                            ("epochs", "training epochs", 1, int),
-                            ("decay_every", "epochs per learning-rate decay", 1, int),
-                            ("batch_size", "training batch size", 1, int),
-                            ("seed", "evaluation seed", 0, int),
-                            ("lr", "learning rate", 0, float),
-                            ("momentum", "SGD momentum", 0, float),
-                            ("weight_decay", "weight decay", 0, float),
-                            ("decay_rate", "learning-rate decay factor", 0, float)))
+        check_fields(self)
 
     def effective_lr(self, epoch):
         """Step decay: multiply by decay_rate after every decay_every epochs."""

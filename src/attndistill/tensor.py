@@ -10,7 +10,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,16 +22,6 @@ class TensorError(Exception):
 
 class ShapeMismatch(TensorError):
     """Operand shapes incompatible with the operation's contract."""
-
-
-class _ThreadModes(threading.local):
-    """The calling thread's mode: into how many parts the op call it runs a
-    part of was cut, which shares out the scratch budget (``_group_size``)."""
-
-    parts = 1
-
-
-_modes = _ThreadModes()
 
 
 class _Node:
@@ -472,10 +461,10 @@ elements) and ipc-50 block-3 (409,600) ops whole, is slower, and 2**17 gains
 nothing over 2**18."""
 
 
-def _group_size(per_sample):
-    """Samples of ``per_sample`` scratch elements that fit the calling part's
-    share of GROUP_BUDGET, at least one."""
-    return max(1, GROUP_BUDGET // (_modes.parts * per_sample))
+def _group_size(per_sample, budget):
+    """Samples of ``per_sample`` scratch elements that fit ``budget``, a
+    part's share of GROUP_BUDGET, at least one."""
+    return max(1, budget // per_sample)
 
 
 def _find_blas():
@@ -508,32 +497,31 @@ def _over_samples(fn, rows, *args, scratch=0):
     """Call ``fn(*rows, *args)``; ``rows`` are arrays with one entry per sample
     along their first axis, and ``scratch`` is the elements one sample takes
     in the buffers ``fn`` fills one sample group at a time (0 for none).
+    With ``scratch``, ``fn`` is also passed ``budget``, its share of
+    GROUP_BUDGET: the whole budget, or an equal share for each part.
 
     When the largest array of ``rows`` has at least SPLIT_FLOOR elements, the
     samples are cut into contiguous ranges, one per usable CPU but no more
     than there are samples, or than the shares of GROUP_BUDGET that hold one
     sample's ``scratch``. With two or more, ``fn`` runs on each range's slices
-    of ``rows`` at the same time, the calling thread taking the first, and
-    each part sizes its groups by its share (``_group_size``), so the parts'
-    groups stay within GROUP_BUDGET in total. Otherwise it is one call on the
-    whole arrays. A part runs numpy only and writes its own samples of arrays
-    the op allocated before; the op keeps every reduction across samples. An
-    error in a part is raised once every part has finished.
+    of ``rows`` at the same time, the calling thread taking the first, so the
+    parts' groups stay within GROUP_BUDGET in total. Otherwise it is one call
+    on the whole arrays. A part runs numpy only and writes its own samples of
+    arrays the op allocated before; the op keeps every reduction across
+    samples. An error in a part is raised once every part has finished.
     """
     n = parts = 1
     if rows[0].ndim > 0 and max(r.size for r in rows) >= SPLIT_FLOOR:
         n = len(rows[0])
         parts = min(_WORKERS, n, GROUP_BUDGET // scratch if scratch else n)
+    if scratch:
+        fn = functools.partial(fn, budget=GROUP_BUDGET // max(parts, 1))
     if parts < 2:
         return fn(*rows, *args)
     cuts = [n * i // parts for i in range(parts + 1)]
 
     def part(i):
-        _modes.parts = parts
-        try:
-            return fn(*(r[cuts[i]:cuts[i + 1]] for r in rows), *args)
-        finally:
-            _modes.parts = 1
+        return fn(*(r[cuts[i]:cuts[i + 1]] for r in rows), *args)
     rest = [_pool.submit(part, i) for i in range(1, parts)]
     try:
         part(0)
@@ -628,14 +616,14 @@ def conv2d(x, w):
     return out
 
 
-def _conv2d_rows(x, y, cols=None, *, wmat):
+def _conv2d_rows(x, y, cols=None, *, wmat, budget=None):
     """``y = W @ cols(x)``, with its own padded input buffer. Given ``cols``,
     (N, Cin, 3, 3, H, W), every sample's columns are built there in one
-    group; otherwise in sample groups within the scratch budget, in a buffer
-    of its own."""
+    group; otherwise in sample groups within ``budget``, in a buffer of its
+    own."""
     n, cin, h, wd = x.shape
     k = cin * 9
-    step = max(n, 1) if cols is not None else _group_size(k * h * wd)
+    step = max(n, 1) if cols is not None else _group_size(k * h * wd, budget)
     xp = np.zeros((min(n, step), cin, h + 2, wd + 2), dtype=x.dtype)
     if cols is None:
         cols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=x.dtype)
@@ -647,12 +635,12 @@ def _conv2d_rows(x, y, cols=None, *, wmat):
         np.matmul(wmat, cols[:m].reshape(m, k, h * wd), out=y[s:s + m])
 
 
-def _conv2d_input_grad_rows(gm, dx, wmat):
+def _conv2d_input_grad_rows(gm, dx, wmat, *, budget):
     """Add the dX of ``conv2d`` from the output gradient gm: (N, Cout, H*W)
     into dx. Per sample group, the columns W^T @ g are built and each of the
     nine taps is added, clipped to the image, straight into dX."""
     n, cin, h, wd = dx.shape
-    step = _group_size(cin * 9 * h * wd)
+    step = _group_size(cin * 9 * h * wd, budget)
     gcols = np.empty((min(n, step), cin, 3, 3, h, wd), dtype=dx.dtype)
     row_spans, col_spans = _tap_spans(h), _tap_spans(wd)
     for s in range(0, n, step):
@@ -716,7 +704,7 @@ def _instance_norm_rows(x3, xc, istd, a, y, gamma, beta, eps):
     y += beta[:, None]
 
 
-def _instance_norm_grad_rows(g3, xc, istd, a, gxc, gx=None):
+def _instance_norm_grad_rows(g3, xc, istd, a, gxc, gx=None, *, budget=None):
     gxc[...] = np.einsum("ncp,ncp->nc", g3, xc)  # out= would cost more than this copy
     if gx is None:
         return
@@ -725,7 +713,7 @@ def _instance_norm_grad_rows(g3, xc, istd, a, gxc, gx=None):
     n, c, m = g3.shape
     s1 = a * g3.sum(axis=2) / m
     s2 = a * istd * istd * gxc / m
-    step = _group_size(c * m)
+    step = _group_size(c * m, budget)
     xs2 = np.empty((min(n, step), c, m), dtype=gx.dtype)
     for s in range(0, n, step):
         k = min(step, n - s)
@@ -864,13 +852,13 @@ def conv_blocks(x, blocks):
     return [Tensor(y) for y in outs]
 
 
-def _conv_blocks_rows(x, scratch, *ys, blocks):
+def _conv_blocks_rows(x, scratch, *ys, blocks, budget=None):
     flat = scratch.reshape(-1)  # the part's rows are contiguous
     for (wmat, gamma, beta), y in zip(blocks, ys):
         n, _, h, w = x.shape
         c = len(wmat)
         z = flat.view(y.dtype)[:n * c * h * w].reshape(n, c, h * w)
-        _conv2d_rows(x, z, wmat=wmat)
+        _conv2d_rows(x, z, wmat=wmat, budget=budget)
         istd = np.empty((n, c), dtype=z.dtype)
         a = np.empty((n, c), dtype=np.result_type(gamma, istd))
         _instance_norm_rows(z, z, istd, a, z, gamma, beta, np.asarray(_NORM_EPS, dtype=z.dtype))

@@ -14,9 +14,9 @@ def parts(monkeypatch):
     over_samples = T._over_samples
 
     def spy(fn, rows, *args, **kwargs):
-        def part(*arrays):
+        def part(*arrays, **share):
             parts.append((len(arrays[0]), threading.get_ident()))
-            return fn(*arrays)
+            return fn(*arrays, **share)
         return over_samples(part, rows, *args, **kwargs)
 
     monkeypatch.setattr(T, "_over_samples", spy)

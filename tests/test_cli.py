@@ -1,13 +1,19 @@
 import dataclasses
 import json
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attndistill import cli
+from attndistill import cli, data
 from attndistill.cli import main
-from attndistill.distill import SyntheticSet
+from attndistill.data import ToySpec
+from attndistill.distill import DistillConfig, SyntheticSet
+from attndistill.encoder import EncoderConfig
+from attndistill.evaluation import EvalConfig
 from attndistill.synfile import (RunManifest, SynFileError, read_synthetic,
                                  write_synthetic)
 from attndistill.tensor import Tensor
@@ -191,19 +197,10 @@ def test_cmd_distill_bad_aug_list_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("flags,words", [
-    (["--lr", "-1"], "learning rate"),              # gradient ascent
     (["--no-sam", "--no-mmd"], "at least one"),     # an objective that is 0
     (["--depth", "1", "--no-mmd"], "at least one"),  # no layer for attention to match
     (["--depth", "2", "--layers", "2"], "outside 1..1"),
-    # each non-finite rate used to fail after the first step, naming no field
-    (["--lr=nan"], "lr_images (image learning rate) must be a finite"),
-    (["--lr=inf"], "lr_images (image learning rate) must be a finite"),
-    (["--lambda=nan"], "lam (task balance) must be a finite"),
-    (["--momentum=nan"], "image_momentum (image momentum) must be a finite"),
-    (["--p=nan"], "p (attention exponent) must be a finite"),
-    (["--p=inf"], "p (attention exponent) must be a finite"),
-], ids=["negative-lr", "no-terms", "depth-1-no-mmd", "layer-outside-depth", "nan-lr",
-        "inf-lr", "nan-lambda", "nan-momentum", "nan-p", "inf-p"])
+], ids=["no-terms", "depth-1-no-mmd", "layer-outside-depth"])
 def test_cmd_distill_wrong_objective_exits_1_with_one_error_line(tmp_path, capsys, flags,
                                                                  words):
     out = tmp_path / "x.dds"
@@ -211,56 +208,6 @@ def test_cmd_distill_wrong_objective_exits_1_with_one_error_line(tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
     assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_cmd_eval_non_finite_lr_exits_1_naming_the_field(tmp_path, capsys, monkeypatch, value):
-    """``--lr nan`` used to train NaN parameters and report an accuracy."""
-    out = tmp_path / "syn.dds"
-    assert run_cli(*toy_distill_args(out)) == 0
-    capsys.readouterr()
-    calls = []
-    monkeypatch.setattr(cli, "evaluate_synthetic", lambda *a: calls.append(a))
-    assert run_cli("eval", "--syn", str(out), "--dataset", "toy", "--models", "1",
-                   "--epochs", "1", f"--lr={value}") == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: lr (") and "finite" in err[0]
-    assert calls == []
-
-
-@pytest.mark.parametrize("command,flag,value,words", [
-    ("distill", "--ipc", "0", "ipc (images per class) must be an integer >= 1, got 0"),
-    ("distill", "--iters", "-1", "iterations (optimization steps) must be an integer >= 0, "
-                                 "got -1"),
-    ("distill", "--real-batch", "0", "real_batch_per_class (real images per class and step) "
-                                     "must be an integer >= 1, got 0"),
-    ("distill", "--width", "0", "width (channels per block) must be an integer >= 1, got 0"),
-    ("distill", "--depth", "0", "depth (conv blocks) must be an integer >= 1, got 0"),
-    ("eval", "--models", "0", "num_models (models to train) must be an integer >= 1, got 0"),
-    ("eval", "--epochs", "0", "epochs (training epochs) must be an integer >= 1, got 0"),
-    ("eval", "--batch-size", "0", "batch_size (training batch size) must be an integer >= 1, "
-                                  "got 0"),
-    ("eval", "--width", "0", "width (channels per block) must be an integer >= 1, got 0"),
-    ("distill", "--seed", "-1", "seed (distillation seed) must be an integer >= 0, got -1"),
-    ("distill", "--toy-seed", "-1", "seed (toy data seed) must be an integer >= 0, got -1"),
-    ("eval", "--seed", "-3", "seed (evaluation seed) must be an integer >= 0, got -3"),
-])
-def test_count_flag_out_of_range_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
-                                                           command, flag, value, words):
-    """Each used to end in one line that dumped the whole config, named no
-    field and called ``--iters 0``, which is valid, not positive."""
-    syn = tmp_path / "syn.dds"
-    if command == "distill":
-        argv = toy_distill_args(tmp_path / "x.dds")
-    else:
-        assert run_cli(*toy_distill_args(syn)) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(cli, "evaluate_synthetic", lambda *a: pytest.fail("trained"))
-        argv = ["eval", "--syn", str(syn), "--dataset", "toy", "--models", "1", "--epochs", "1"]
-    assert run_cli(*argv, f"{flag}={value}") == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: {words}"]
-    assert not (tmp_path / "x.dds").exists()
 
 
 @pytest.mark.parametrize("layers", [",", ""], ids=["comma", "empty"])
@@ -277,6 +224,106 @@ def test_cmd_distill_mnist_pad_below_one_exits_2(tmp_path, capsys, pad):
                 f"--mnist-pad={pad}", "--out", str(tmp_path / "x.dds"))
     assert exc.value.code == 2
     assert "--mnist-pad" in capsys.readouterr().err
+
+
+TOY_FLAGS = [("--toy-classes", "num_classes"), ("--toy-per-class", "images_per_class"),
+             ("--toy-size", "image_size"), ("--toy-noise", "noise_std"), ("--toy-seed", "seed")]
+
+# Every flag held to a declared range: (command, flag, config, field), with
+# None for ``load_mnist``'s ``resize_to``.
+BOUNDED_FLAGS = [
+    *[(command, flag, ToySpec, name) for command in ("distill", "eval")
+      for flag, name in TOY_FLAGS],
+    ("distill", "--mnist-pad", None, "resize_to"),
+    ("eval", "--mnist-pad", None, "resize_to"),
+    ("distill", "--ipc", DistillConfig, "ipc"),
+    ("distill", "--iters", DistillConfig, "iterations"),
+    ("distill", "--lr", DistillConfig, "lr_images"),
+    ("distill", "--momentum", DistillConfig, "image_momentum"),
+    ("distill", "--lambda", DistillConfig, "lam"),
+    ("distill", "--p", DistillConfig, "p"),
+    ("distill", "--real-batch", DistillConfig, "real_batch_per_class"),
+    ("distill", "--seed", DistillConfig, "seed"),
+    ("distill", "--width", EncoderConfig, "width"),
+    ("distill", "--depth", EncoderConfig, "depth"),
+    ("eval", "--models", EvalConfig, "num_models"),
+    ("eval", "--epochs", EvalConfig, "epochs"),
+    ("eval", "--lr", EvalConfig, "lr"),
+    ("eval", "--batch-size", EvalConfig, "batch_size"),
+    ("eval", "--seed", EvalConfig, "seed"),
+    ("eval", "--width", EncoderConfig, "width"),
+    ("eval", "--depth", EncoderConfig, "depth"),
+]
+# The flags whose default the command works out from the data.
+DATA_DEPENDENT = {("distill", "--lambda"), ("distill", "--depth"), ("eval", "--width"),
+                  ("eval", "--depth")}
+
+
+@pytest.mark.parametrize("command,flag,config,name", BOUNDED_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, *_ in BOUNDED_FLAGS])
+def test_bounded_flag_out_of_range_exits_2_reading_no_data(
+        tmp_path, capsys, monkeypatch, command, flag, config, name):
+    """The flag's default is its field's, and each value out of the field's
+    range (below the floor, for an integer -3 and 2.5, for a real NaN and
+    the infinities) exits 2 in one line naming the flag and the field, with
+    no dataset or DDS file read and nothing written. Each count, rate and
+    seed but the toy flags and ``--mnist-pad`` used to exit 1, most only
+    after the whole training set was read."""
+    for reader in ("gen_toy", "load_cifar10", "load_mnist"):
+        monkeypatch.setattr(data, reader, lambda *a, **k: pytest.fail("read a dataset"))
+    monkeypatch.setattr(cli, "read_synthetic", lambda *a: pytest.fail("read a DDS file"))
+    if config is None:
+        bound, default = data.RESIZE_TO, None
+    else:
+        declared = next(f for f in dataclasses.fields(config) if f.name == name)
+        bound, default = declared.metadata["bound"], declared.default
+    argv = ([command, "--dataset", "toy"]
+            + (["--out", str(tmp_path / "x.dds")] if command == "distill"
+               else ["--syn", str(tmp_path / "x.dds")]))
+    args = cli.build_parser().parse_args(argv)
+    dest = "mnist_pad" if config is None else ("toy_" if config is ToySpec else "") + name
+    assert getattr(args, dest) == (None if (command, flag) in DATA_DEPENDENT else default)
+    if bound.kind is int:
+        noun, values = "an integer", [bound.floor - 1, -3, 2.5]
+    else:
+        noun, values = "a finite number", [float(bound.floor - 1), float("nan"), float("inf"),
+                                           float("-inf")]
+    for value in values:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}"])
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert exc.value.code == 2, value
+        assert last == (f"attndistill {command}: error: argument {flag}: {name} "
+                        f"({bound.meaning}) must be {noun} >= {bound.floor}, got {value}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_table_holds_every_bounded_flag():
+    """Every flag with a parse-time type but the two list parsers is one of
+    BOUNDED_FLAGS."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    typed = {(command, a.option_strings[0]) for command in ("distill", "eval")
+             for a in commands[command]._actions
+             if a.type not in (None, cli._parse_aug, cli._parse_layers)}
+    assert typed == {(command, flag) for command, flag, *_ in BOUNDED_FLAGS}
+
+
+@pytest.mark.parametrize("script,flag,value,field", [
+    ("check_gradients.py", "--classes", "0", "num_classes"),
+    ("check_gradients.py", "--width", "0", "width"),
+    ("run_toy_benchmark.py", "--iters", "-1", "iterations"),
+    ("run_toy_benchmark.py", "--models", "0", "num_models"),
+])
+def test_script_count_flag_out_of_range_exits_2_in_one_line(script, flag, value, field):
+    """Each used to end in a ValueError traceback, the benchmark's only after
+    generating its data."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    run = subprocess.run([sys.executable, str(path), f"{flag}={value}"], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert f"error: argument {flag}: {field} (" in run.stderr.strip().splitlines()[-1]
 
 
 @pytest.mark.parametrize("command", ["distill", "eval"])

@@ -127,6 +127,16 @@ def test_mnist_pad_and_crop(tmp_path):
         assert ds.images.data.flags.c_contiguous and ds.images.data.dtype == np.float32
 
 
+@pytest.mark.parametrize("size", [0, -4, 2.5])
+def test_mnist_resize_to_out_of_range_is_refused_naming_the_field(tmp_path, size):
+    """0 used to return (N, 1, 0, 0) images with NaN statistics and numpy
+    warnings, -4 raised numpy's "negative dimensions" and 2.5 a TypeError."""
+    img, lab = write_mnist_pair(tmp_path, np.zeros((1, 4, 4)), [1])
+    words = f"resize_to \\(MNIST image side in pixels\\) must be an integer >= 1, got {size}"
+    with pytest.raises(ValueError, match=words):
+        load_mnist(img, lab, resize_to=size)
+
+
 # ---------------------------------------------------------------------------
 # toy generator
 

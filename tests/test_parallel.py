@@ -238,8 +238,8 @@ def test_the_groups_of_a_split_call_stay_within_the_budget_in_total(split, monke
     groups = []
     group_size = T._group_size
 
-    def spy(size):
-        groups.append((size, group_size(size), T._modes.parts))
+    def spy(size, budget):
+        groups.append((size, group_size(size, budget), budget))
         return groups[-1][1]
 
     monkeypatch.setattr(T, "_group_size", spy)
@@ -260,9 +260,8 @@ def test_the_groups_of_a_split_call_stay_within_the_budget_in_total(split, monke
     split(2)
     halves, *two = run()
     assert len(whole) == 4 and len(halves) == 8
-    assert {(g * size, parts) for size, g, parts in whole} == {(4 * per_sample, 1)}
-    assert {(g * size, parts) for size, g, parts in halves} == {(2 * per_sample, 2)}
-    assert T._modes.parts == 1
+    assert {(g * size, share) for size, g, share in whole} == {(4 * per_sample, 4 * per_sample)}
+    assert {(g * size, share) for size, g, share in halves} == {(2 * per_sample, 2 * per_sample)}
     assert all(np.array_equal(a, b) for a, b in zip(one, two))
 
 
