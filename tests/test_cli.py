@@ -259,42 +259,63 @@ DATA_DEPENDENT = {("distill", "--lambda"), ("distill", "--depth"), ("eval", "--w
                   ("eval", "--depth")}
 
 
+def declared(config, name):
+    """The field's ``(bound, default)``; ``load_mnist``'s for config None."""
+    if config is None:
+        return data.RESIZE_TO, None
+    field = next(f for f in dataclasses.fields(config) if f.name == name)
+    return field.metadata["bound"], field.default
+
+
+def flag_argv(command, tmp_path):
+    return ([command, "--dataset", "toy"]
+            + (["--out", str(tmp_path / "x.dds")] if command == "distill"
+               else ["--syn", str(tmp_path / "x.dds")]))
+
+
+# Each bounded flag with each value out of its field's range, labelled: for an
+# integer one below the floor, -3 and 2.5, for a real one below the floor, NaN
+# and the infinities.
+OUT_OF_RANGE = [
+    (command, flag, config, name, label, value)
+    for command, flag, config, name in BOUNDED_FLAGS
+    for bound in [declared(config, name)[0]]
+    for label, value in ([("below-floor", bound.floor - 1), ("-3", -3), ("2.5", 2.5)]
+                         if bound.kind is int else
+                         [("below-floor", float(bound.floor - 1)), ("nan", float("nan")),
+                          ("inf", float("inf")), ("-inf", float("-inf"))])
+]
+
+
 @pytest.mark.parametrize("command,flag,config,name", BOUNDED_FLAGS,
                          ids=[f"{command}{flag}" for command, flag, *_ in BOUNDED_FLAGS])
+def test_bounded_flag_defaults_to_its_field(tmp_path, command, flag, config, name):
+    args = cli.build_parser().parse_args(flag_argv(command, tmp_path))
+    dest = "mnist_pad" if config is None else ("toy_" if config is ToySpec else "") + name
+    default = None if (command, flag) in DATA_DEPENDENT else declared(config, name)[1]
+    assert getattr(args, dest) == default
+
+
+@pytest.mark.parametrize("command,flag,config,name,value",
+                         [(c, f, config, n, v) for c, f, config, n, _, v in OUT_OF_RANGE],
+                         ids=[f"{c}{f}-{label}" for c, f, *_, label, _ in OUT_OF_RANGE])
 def test_bounded_flag_out_of_range_exits_2_reading_no_data(
-        tmp_path, capsys, monkeypatch, command, flag, config, name):
-    """The flag's default is its field's, and each value out of the field's
-    range (below the floor, for an integer -3 and 2.5, for a real NaN and
-    the infinities) exits 2 in one line naming the flag and the field, with
-    no dataset or DDS file read and nothing written. Each count, rate and
-    seed but the toy flags and ``--mnist-pad`` used to exit 1, most only
-    after the whole training set was read."""
+        tmp_path, capsys, monkeypatch, command, flag, config, name, value):
+    """The value exits 2 in one line naming the flag and the field, with no
+    dataset or DDS file read and nothing written. Each count, rate and seed
+    but the toy flags and ``--mnist-pad`` used to exit 1, most only after the
+    whole training set was read."""
     for reader in ("gen_toy", "load_cifar10", "load_mnist"):
         monkeypatch.setattr(data, reader, lambda *a, **k: pytest.fail("read a dataset"))
     monkeypatch.setattr(cli, "read_synthetic", lambda *a: pytest.fail("read a DDS file"))
-    if config is None:
-        bound, default = data.RESIZE_TO, None
-    else:
-        declared = next(f for f in dataclasses.fields(config) if f.name == name)
-        bound, default = declared.metadata["bound"], declared.default
-    argv = ([command, "--dataset", "toy"]
-            + (["--out", str(tmp_path / "x.dds")] if command == "distill"
-               else ["--syn", str(tmp_path / "x.dds")]))
-    args = cli.build_parser().parse_args(argv)
-    dest = "mnist_pad" if config is None else ("toy_" if config is ToySpec else "") + name
-    assert getattr(args, dest) == (None if (command, flag) in DATA_DEPENDENT else default)
-    if bound.kind is int:
-        noun, values = "an integer", [bound.floor - 1, -3, 2.5]
-    else:
-        noun, values = "a finite number", [float(bound.floor - 1), float("nan"), float("inf"),
-                                           float("-inf")]
-    for value in values:
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, f"{flag}={value}"])
-        last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert exc.value.code == 2, value
-        assert last == (f"attndistill {command}: error: argument {flag}: {name} "
-                        f"({bound.meaning}) must be {noun} >= {bound.floor}, got {value}")
+    bound = declared(config, name)[0]
+    noun = "an integer" if bound.kind is int else "a finite number"
+    with pytest.raises(SystemExit) as exc:
+        main([*flag_argv(command, tmp_path), f"{flag}={value}"])
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert exc.value.code == 2
+    assert last == (f"attndistill {command}: error: argument {flag}: {name} "
+                    f"({bound.meaning}) must be {noun} >= {bound.floor}, got {value}")
     assert list(tmp_path.iterdir()) == []
 
 
